@@ -12,7 +12,7 @@ model      state containers and force evaluators
 exact      closed-form solutions built on the coupling spectrum
 integrate  adaptive embedded Runge-Kutta integration and comparison
 classify   spectrum classification and period detection
-linalg     self-contained complex eigenvalue machinery
+linalg     eigendecomposition and linear solves on LAPACK, with defect detection
 scenario   JSON run descriptions
 cli        command line front end (``planebody ...``)
 """

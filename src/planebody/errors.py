@@ -24,7 +24,7 @@ class DefectiveMatrixError(PlanebodyError):
 
 
 class ConvergenceError(PlanebodyError):
-    """QR iteration exhausted its sweep budget."""
+    """LAPACK's eigenvalue iteration failed to converge."""
 
     code = "NonConvergence"
 

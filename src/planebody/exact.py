@@ -44,6 +44,9 @@ TWO_PI = 2.0 * math.pi
 
 # residual gate for the degenerate-basis path in spectral_solve
 _REPRESENTATION_RTOL = 1e-8
+# eigenvectors of one defective eigenvalue, split by LAPACK, are parallel to
+# about eps**(1/k) for a k-fold block; this treats them as dependent up to k = 4
+_DEPENDENT_RTOL = 1e-3
 
 
 def _cexpm1(x: np.ndarray) -> np.ndarray:
@@ -87,38 +90,65 @@ class SpectralSolution:
         return self.z0.shape[0]
 
 
+def _rank(m: np.ndarray) -> int:
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > _DEPENDENT_RTOL * s[0]))
+
+
+def _clusters(w: np.ndarray, v: np.ndarray, ctol: float) -> list[list[int]]:
+    """Group eigenvalue indices that coincide (within ctol) or whose
+    eigenvectors are numerically dependent (the block loses rank)."""
+    clusters: list[list[int]] = []
+    for k in range(w.shape[0]):
+        for c in clusters:
+            if np.min(np.abs(w[c] - w[k])) <= ctol or _rank(v[:, c + [k]]) == _rank(v[:, c]):
+                c.append(k)
+                break
+        else:
+            clusters.append([k])
+    return clusters
+
+
 def _degenerate_solve(a: np.ndarray, w: np.ndarray, v: np.ndarray, f0, z0, cond):
     """Spectral representation when the eigenbasis is numerically defective.
 
-    Equal eigenvalues are collapsed onto one representative eigenvector
-    per cluster.  The representation is accepted only when f(0) lies in
-    the span of those representatives, which keeps the evaluated f(t)
-    an actual solution of f' = A f.  Otherwise the defect is fatal.
+    LAPACK splits a k-fold defective eigenvalue by about eps**(1/k) and
+    returns nearly parallel eigenvectors for it, so eigenvalues are
+    clustered by coincidence or by eigenvector dependence, not by their
+    gap.  Each cluster takes its mean eigenvalue, which is accurate to
+    rounding, and its representatives span the numerical null space of
+    A - mean*I.  The representation is accepted only when f(0) lies in
+    the span of all representatives, which keeps the evaluated f(t) an
+    actual solution of f' = A f.  Otherwise the defect is fatal.
     """
     n = a.shape[0]
-    scale = float(np.max(np.abs(w))) if n else 0.0
-    ctol = 1e-8 * max(scale, 1e-300)
-    reps: list[int] = []
-    for k in range(n):
-        if all(abs(w[k] - w[j]) > ctol for j in reps):
-            reps.append(k)
-    vhat = v[:, reps]
-    f0norm = float(np.sqrt(np.sum(np.abs(f0) ** 2)))
+    tol = _REPRESENTATION_RTOL * float(np.linalg.norm(a))
+    w = w.copy()
+    columns: list[int] = []
+    blocks = []
+    for c in _clusters(w, v, tol):
+        lam = np.mean(w[c])
+        w[c] = lam
+        _, s, vh = np.linalg.svd(a - lam * np.eye(n))
+        r = min(len(c), int(np.sum(s <= tol)))
+        columns += c[:r]
+        blocks.append(np.conj(vh[n - r:]).T)
+    reps = np.hstack(blocks)
+    f0norm = float(np.linalg.norm(f0))
     coeffs = np.zeros((n, n), dtype=np.complex128)
     if f0norm > 0.0:
-        gram = np.conj(vhat.T) @ vhat
-        c = linalg.solve_linear(gram, np.conj(vhat.T) @ f0)
-        residual = float(np.sqrt(np.sum(np.abs(vhat @ c - f0) ** 2)))
+        y = np.linalg.pinv(reps) @ f0  # least squares by the SVD routine used above
+        residual = float(np.linalg.norm(reps @ y - f0))
         if residual > _REPRESENTATION_RTOL * f0norm:
             raise DefectiveMatrixError(
                 "coupling matrix is numerically defective (condition estimate "
                 f"{cond:.3e}) and the initial log-derivative vector is not in "
-                "the span of its well-determined eigenvectors "
+                "the span of its eigenvectors "
                 f"(representation residual {residual / f0norm:.3e})",
                 condition_estimate=cond,
             )
-        coeffs[:, reps] = vhat * c
-    return SpectralSolution(eigenvalues=w.copy(), coefficients=coeffs, z0=np.array(z0))
+        coeffs[:, columns] = reps * y
+    return SpectralSolution(eigenvalues=w, coefficients=coeffs, z0=np.array(z0))
 
 
 def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
@@ -127,8 +157,8 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     Solves V coeff = z'(0)/z(0) so that the row sums of the coefficient
     matrix reproduce the initial log-derivatives.  A defective coupling
     matrix is accepted only when that vector is representable in the
-    span of the reliable eigenvectors (e.g. similarity initial data on
-    a rank-deficient matrix); anything else raises DefectiveMatrixError.
+    span of its eigenvectors (e.g. similarity initial data on a
+    rank-deficient matrix); anything else raises DefectiveMatrixError.
     """
     if c.n != initial.n:
         raise ValueError(f"coupling size {c.n} does not match state size {initial.n}")
@@ -141,8 +171,6 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     if cond > linalg.DEFECT_THRESHOLD:
         return _degenerate_solve(a, w, v, f0, initial.z, cond)
     coeff = linalg.solve_linear(v, f0)
-    # one refinement pass on the expansion keeps the row-sum identity tight
-    coeff += linalg.solve_linear(v, f0 - v @ coeff)
     return SpectralSolution(
         eigenvalues=w, coefficients=v * coeff, z0=initial.z.copy()
     )
@@ -156,18 +184,25 @@ def eval_f(sol: SpectralSolution, t) -> np.ndarray:
 def eval_z(sol: SpectralSolution, t) -> ComplexState:
     """Closed-form state at time t (real, or complex for time substitution).
 
-    Raises BlowupError when any log-magnitude exponent leaves [-700, 700],
-    which is where the double-exponential escape (or collapse onto the
-    origin) stops being representable in double precision.
+    Raises BlowupError when any log-magnitude exponent leaves [-700, 700]
+    or stops being finite, which is where the double-exponential escape
+    (or collapse onto the origin) stops being representable in double
+    precision.
     """
-    at = sol.eigenvalues * t
-    exponent = sol.coefficients @ (t * phi1(at))
-    worst = float(np.max(np.abs(exponent.real)))
-    if worst > EXPONENT_LIMIT:
-        j = int(np.argmax(np.abs(exponent.real)))
-        kind = "escape" if exponent.real[j] > 0 else "collapse"
+    return _eval_at(sol, t, t)
+
+
+def _eval_at(sol: SpectralSolution, s, t) -> ComplexState:
+    """eval_z at the (possibly substituted) time s; t is the time a blow-up reports."""
+    at = sol.eigenvalues * s
+    with np.errstate(over="ignore", invalid="ignore"):  # range-checked below
+        exponent = sol.coefficients @ (s * phi1(at))
+    re = exponent.real
+    j = int(np.argmax(np.abs(re)))  # the first NaN, if any
+    if not (abs(re[j]) <= EXPONENT_LIMIT and np.all(np.isfinite(exponent.imag))):
+        kind = "escape" if re[j] > 0 else "collapse" if re[j] < 0 else "overflow"
         raise BlowupError(
-            f"particle {j + 1} exponent {exponent.real[j]:.6g} exceeds the "
+            f"particle {j + 1} exponent {re[j]:.6g} exceeds the "
             f"representable range at t = {t} (double-exponential {kind})",
             time=float(np.real(t)),
         )
@@ -198,8 +233,9 @@ def _tau_dot(g: GeneralizedParams, t: float) -> complex:
 
 def eval_generalized(sol: SpectralSolution, g: GeneralizedParams, t: float) -> ComplexState:
     """State of the generalized model: base solution at tau(t), with the
-    velocity picking up the chain-rule factor dtau/dt = exp((lam+i omega) t)."""
-    base = eval_z(sol, tau_map(g, t))
+    velocity picking up the chain-rule factor dtau/dt = exp((lam+i omega) t).
+    A blow-up reports the physical time t, not tau(t)."""
+    base = _eval_at(sol, tau_map(g, t), t)
     return ComplexState(base.z, base.zdot * _tau_dot(g, t))
 
 

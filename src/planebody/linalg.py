@@ -1,15 +1,13 @@
 """Dense complex linear algebra for small matrices (n <= 64).
 
-The kernels are written out by hand rather than delegated to LAPACK:
-a single diagonal balancing pass, Householder reduction to upper
-Hessenberg form, Wilkinson-shifted QR iteration for the eigenvalues,
-inverse iteration for the eigenvectors, and partially pivoted LU for
-linear systems.  numpy supplies array storage and elementwise
-arithmetic only.
+Thin wrappers over LAPACK (numpy.linalg) that fix the package's
+conventions: eigenvalues sorted by (real, imag), with real parts that
+agree to rounding treated as equal, unit-norm eigenvector columns whose
+largest entry is real and positive, a 1-norm condition estimate of the
+eigenvector basis that flags defective matrices, and the package's own
+error types in place of numpy's LinAlgError.
 
-Eigenvalues are returned sorted lexicographically by (real, imag) and
-eigenvector columns are unit norm with a deterministic phase, so equal
-inputs give bitwise equal outputs.
+Equal inputs give bitwise equal outputs.
 """
 from __future__ import annotations
 
@@ -19,12 +17,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DefectiveMatrixError, SingularMatrixError
 
-_EPS = float(np.finfo(np.float64).eps)
-
 MAX_DIMENSION = 64
 DEFECT_THRESHOLD = 1e8
 PIVOT_RTOL = 1e-14
-QR_SWEEPS_PER_EIGENVALUE = 100
+
+# real parts closer than this (relative to max |eigenvalue|) do not decide the order
+_SORT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,61 +44,27 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _norm1(a: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(a), axis=0)))
+def _eigen_input(a) -> np.ndarray:
+    m = as_complex_matrix(a, "A")
+    n = m.shape[0]
+    if n > MAX_DIMENSION:
+        raise ValueError(f"matrix dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
+    return m
 
 
-def _norm_inf(a: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(a), axis=1)))
-
-
-def _lu_factor(a: np.ndarray, singular_tol: float, pivot_floor: float = 0.0):
-    """Partially pivoted LU; L (unit diagonal) and U share one array.
-
-    With pivot_floor > 0 a too-small pivot is replaced by a tiny value of
-    the same phase instead of failing, which is exactly what inverse
-    iteration wants from a deliberately near-singular shift.
-    """
-    lu = a.copy()
-    n = lu.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        pivot = lu[k, k]
-        if abs(pivot) <= singular_tol:
-            if pivot_floor <= 0.0:
-                raise SingularMatrixError(
-                    f"pivot magnitude {abs(pivot):.3e} at column {k} is below "
-                    f"the singularity threshold {singular_tol:.3e}"
-                )
-            pivot = pivot_floor if pivot == 0.0 else pivot / abs(pivot) * pivot_floor
-            lu[k, k] = pivot
-        if k + 1 < n:
-            lu[k + 1:, k] /= pivot
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
-
-
-def _lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.array(b, dtype=np.complex128)[piv]
-    n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
+def _sort_order(w: np.ndarray) -> np.ndarray:
+    """Indices sorting w by (real, imag); real parts within rounding count as equal."""
+    by_real = np.argsort(w.real, kind="stable")
+    tol = _SORT_RTOL * float(np.max(np.abs(w)))
+    group = np.concatenate([[0], np.cumsum(np.diff(w.real[by_real]) > tol)])
+    return by_real[np.lexsort((w.imag[by_real], group))]
 
 
 def solve_linear(m, b) -> np.ndarray:
-    """Solve M x = b by LU with partial pivoting plus one refinement pass.
+    """Solve M x = b; accepts a vector or a matrix right-hand side.
 
-    Raises SingularMatrixError when a pivot falls below
-    PIVOT_RTOL * ||M||_inf.  Accepts a vector or a matrix right-hand side.
+    Raises SingularMatrixError when the 1-norm condition number of M
+    exceeds 1 / PIVOT_RTOL.
     """
     mm = as_complex_matrix(m, "M")
     bb = np.array(b, dtype=np.complex128)
@@ -108,291 +72,49 @@ def solve_linear(m, b) -> np.ndarray:
         raise ValueError(f"right-hand side shape {bb.shape} does not match matrix {mm.shape}")
     if not np.all(np.isfinite(bb)):
         raise ValueError("right-hand side contains non-finite entries")
-    scale = _norm_inf(mm)
-    lu, piv = _lu_factor(mm, PIVOT_RTOL * scale)
-    x = _lu_solve(lu, piv, bb)
-    # one fixed-precision refinement pass trims the residual constant
-    x += _lu_solve(lu, piv, bb - mm @ x)
-    return x
+    cond = float(np.linalg.cond(mm, 1))  # inf when M is exactly singular
+    if not cond * PIVOT_RTOL <= 1.0:
+        raise SingularMatrixError(
+            f"condition number {cond:.3e} exceeds 1/{PIVOT_RTOL:.0e}; matrix is numerically singular"
+        )
+    return np.linalg.solve(mm, bb)
 
 
-def _balance_once(a: np.ndarray) -> np.ndarray:
-    """Single diagonal-scaling pass with powers of two (similarity transform)."""
-    b = a.copy()
-    n = b.shape[0]
-    for i in range(n):
-        c = float(np.sum(np.abs(b[:, i])) - abs(b[i, i]))
-        r = float(np.sum(np.abs(b[i, :])) - abs(b[i, i]))
-        if c == 0.0 or r == 0.0:
-            continue
-        f = 1.0
-        while c < r / 2.0:
-            c *= 2.0
-            f *= 2.0
-        while c >= r * 2.0:
-            c /= 2.0
-            f /= 2.0
-        if f != 1.0:
-            b[:, i] *= f
-            b[i, :] /= f
-    return b
-
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (eigenvalues preserved)."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        xn = float(np.sqrt(np.sum(np.abs(x) ** 2)))
-        if xn == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
-        v = x.copy()
-        v[0] += phase * xn
-        vn = float(np.sqrt(np.sum(np.abs(v) ** 2)))
-        if vn == 0.0:
-            continue
-        v /= vn
-        h[k + 1:, k:] -= 2.0 * np.outer(v, np.conj(v) @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, np.conj(v))
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    """Both eigenvalues of [[a, b], [c, d]], cancellation-safe."""
-    tr = a + d
-    det = a * d - b * c
-    disc = np.sqrt(np.complex128(tr * tr - 4.0 * det))
-    if abs(tr + disc) >= abs(tr - disc):
-        big = (tr + disc) / 2.0
-    else:
-        big = (tr - disc) / 2.0
-    if big == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return complex(big), complex(det / big)
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, shift: complex) -> None:
-    """One explicit shifted QR step (Givens based) on the active block [lo, hi]."""
-    for i in range(lo, hi + 1):
-        h[i, i] -= shift
-    rots = []
-    for i in range(lo, hi):
-        f = h[i, i]
-        g = h[i + 1, i]
-        r = float(np.hypot(abs(f), abs(g)))
-        if r == 0.0:
-            c, s = 1.0, 0.0 + 0.0j
-        elif f == 0.0:
-            c, s = 0.0, np.conj(g) / abs(g)
-        else:
-            c = abs(f) / r
-            s = (f / abs(f)) * np.conj(g) / r
-        rots.append((c, s))
-        row_i = h[i, i:hi + 1].copy()
-        row_j = h[i + 1, i:hi + 1].copy()
-        h[i, i:hi + 1] = c * row_i + s * row_j
-        h[i + 1, i:hi + 1] = -np.conj(s) * row_i + c * row_j
-    for idx, i in enumerate(range(lo, hi)):
-        c, s = rots[idx]
-        top = min(i + 2, hi) + 1
-        col_i = h[lo:top, i].copy()
-        col_j = h[lo:top, i + 1].copy()
-        h[lo:top, i] = c * col_i + np.conj(s) * col_j
-        h[lo:top, i + 1] = -s * col_i + c * col_j
-    for i in range(lo, hi + 1):
-        h[i, i] += shift
-
-
-def _qr_eigenvalues(hess: np.ndarray, tol: float, budget: int) -> np.ndarray:
-    h = hess.copy()
-    n = h.shape[0]
-    hnorm = float(np.sqrt(np.sum(np.abs(h) ** 2)))
-    w = np.empty(n, dtype=np.complex128)
-    hi = n - 1
-    sweeps = 0
-    stagnation = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            thresh = tol * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if thresh == 0.0:
-                thresh = tol * hnorm
-            if abs(h[lo, lo - 1]) <= thresh:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            w[hi] = h[hi, hi]
-            hi -= 1
-            stagnation = 0
-            continue
-        if lo == hi - 1:
-            w[hi], w[hi - 1] = _eig2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            hi -= 2
-            stagnation = 0
-            continue
-        if sweeps >= budget:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {budget} sweeps"
-            )
-        e1, e2 = _eig2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-        shift = e1 if abs(e1 - h[hi, hi]) <= abs(e2 - h[hi, hi]) else e2
-        if stagnation > 0 and stagnation % 10 == 0:
-            # ad-hoc exceptional shift to break rare cycles
-            bump = abs(h[hi, hi - 1])
-            if hi - 2 >= lo:
-                bump += abs(h[hi - 1, hi - 2])
-            shift = h[hi, hi] + 1.5 * bump
-        _qr_sweep(h, lo, hi, shift)
-        sweeps += 1
-        stagnation += 1
-    return w
-
-
-def _inverse_iteration_vector(a, lam, scale, previous) -> np.ndarray:
-    """One eigenvector of `a` for the converged eigenvalue `lam`.
-
-    `previous` holds already-computed vectors of the same eigenvalue
-    cluster; the start vector is orthogonalized against them so repeated
-    (but non-defective) eigenvalues still yield an independent basis.
-    """
-    n = a.shape[0]
-    floor = max(_EPS * scale, 1e-290)
-    m = a.copy()
-    idx = np.arange(n)
-    m[idx, idx] -= lam
-    lu, piv = _lu_factor(m, floor, pivot_floor=floor)
-    good = 8.0 * n * _EPS * max(scale, 1.0)
-
-    def deflate(x):
-        for p in previous:
-            x = x - (np.conj(p) @ x) * p
-        return x
-
-    def run(start):
-        x = start
-        best, best_res = start, np.inf
-        for _ in range(5):
-            y = deflate(_lu_solve(lu, piv, x))
-            ny = float(np.sqrt(np.sum(np.abs(y) ** 2)))
-            if ny == 0.0 or not np.isfinite(ny):
-                break
-            cand = y / ny
-            res = float(np.sqrt(np.sum(np.abs(a @ cand - lam * cand) ** 2)))
-            if res < best_res:
-                best_res = res
-                best = cand
-            if res <= good:
-                break
-            x = cand
-        return best, best_res
-
-    # try the mixed start first, then basis vectors, all kept out of the
-    # span of already-found cluster vectors; a start can be orthogonal to
-    # the remaining eigenspace, so retry until the residual converges
-    starts = [np.ones(n, dtype=np.complex128) / np.sqrt(n)]
-    starts += [np.eye(n, dtype=np.complex128)[:, k] for k in range(n)]
-    best = starts[0]
-    best_res = np.inf
-    for start in starts:
-        b = deflate(start)
-        nb = float(np.sqrt(np.sum(np.abs(b) ** 2)))
-        if nb <= 1e-3:
-            continue
-        cand, res = run(b / nb)
-        if res < best_res:
-            best_res = res
-            best = cand
-        if best_res <= good:
-            break
-    j = int(np.argmax(np.abs(best)))
-    phase = best[j] / abs(best[j])
-    return best * np.conj(phase), best_res
-
-
-def _eigenvectors(a: np.ndarray, w: np.ndarray):
-    n = a.shape[0]
-    scale = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    ctol = 1e-8 * max(scale, 1e-300)
-    v = np.empty((n, n), dtype=np.complex128)
-    worst_res = 0.0
-    for k in range(n):
-        previous = [v[:, j] for j in range(k) if abs(w[j] - w[k]) <= ctol]
-        v[:, k], res = _inverse_iteration_vector(a, w[k], scale, previous)
-        worst_res = max(worst_res, res)
-    return v, worst_res
-
-
-def _basis_condition(v: np.ndarray) -> float:
-    """1-norm condition estimate of the eigenvector matrix (inf if singular)."""
-    n = v.shape[0]
-    try:
-        lu, piv = _lu_factor(v, 0.0)
-        inv = _lu_solve(lu, piv, np.eye(n, dtype=np.complex128))
-    except SingularMatrixError:
-        return float("inf")
-    cond = _norm1(v) * _norm1(inv)
-    if not np.isfinite(cond):
-        return float("inf")
-    return max(cond, 1.0)
-
-
-def eigenvalues(a, tol: float | None = None) -> np.ndarray:
+def eigenvalues(a) -> np.ndarray:
     """Sorted eigenvalues only (defined even for defective matrices)."""
-    m = as_complex_matrix(a, "A")
-    n = m.shape[0]
-    if n > MAX_DIMENSION:
-        raise ValueError(f"matrix dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    if tol is None:
-        tol = _EPS
-    if n == 1:
-        return m[0, 0:1].copy()
-    h = _hessenberg(_balance_once(m))
-    w = _qr_eigenvalues(h, tol, QR_SWEEPS_PER_EIGENVALUE * n)
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
+    m = _eigen_input(a)
+    try:
+        w = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from None
+    return w[_sort_order(w)]
 
 
-def _eig_raw(a, tol: float | None = None):
+def _eig_raw(a):
     """Full decomposition without the defectiveness gate; returns (w, v, cond)."""
-    m = as_complex_matrix(a, "A")
-    n = m.shape[0]
-    if n > MAX_DIMENSION:
-        raise ValueError(f"matrix dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    w = eigenvalues(m, tol)
-    if n == 1:
-        return w, np.ones((1, 1), dtype=np.complex128), 1.0
-    v, worst_res = _eigenvectors(m, w)
-    cond = _basis_condition(v)
-    # a cluster whose deflated iteration never converged has no second
-    # eigenvector; the basis may look well conditioned, so gate on the
-    # residual as well
-    scale = float(np.sqrt(np.sum(np.abs(m) ** 2)))
-    if worst_res > 1e-8 * max(scale, 1.0):
-        cond = float("inf")
+    m = _eigen_input(a)
+    try:
+        w, v = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from None
+    order = _sort_order(w)
+    w, v = w[order], v[:, order]
+    # columns come back unit norm; rotate each so its largest entry is real positive
+    big = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = v * (np.conj(big) / np.abs(big))
+    cond = float(np.linalg.cond(v, 1))  # inf when v is singular
     return w, v, cond
 
 
-def eig(a, tol: float | None = None) -> EigenDecomposition:
+def eig(a) -> EigenDecomposition:
     """Eigendecomposition of a square complex matrix, n <= 64.
-
-    Parameters
-    ----------
-    a : array_like
-        Square complex matrix.
-    tol : float, optional
-        Relative deflation threshold for the QR iteration.  Defaults to
-        machine epsilon.
 
     Returns
     -------
     EigenDecomposition
         Eigenvalues sorted by (real, imag), unit-norm eigenvector
-        columns in matching order, and a 1-norm condition estimate of
-        the eigenvector matrix.
+        columns in matching order (largest entry real and positive),
+        and a 1-norm condition estimate of the eigenvector matrix.
 
     Raises
     ------
@@ -400,9 +122,9 @@ def eig(a, tol: float | None = None) -> EigenDecomposition:
         If the condition estimate exceeds 1e8, i.e. the matrix is
         defective or too close to defective for a reliable eigenbasis.
     ConvergenceError
-        If QR needs more than 100 sweeps per eigenvalue.
+        If LAPACK's eigenvalue iteration fails to converge.
     """
-    w, v, cond = _eig_raw(a, tol)
+    w, v, cond = _eig_raw(a)
     if cond > DEFECT_THRESHOLD:
         raise DefectiveMatrixError(
             f"eigenvector basis condition estimate {cond:.3e} exceeds "

@@ -215,3 +215,20 @@ def test_detect_period_nonuniform_grid():
     traj = Trajectory(times=times, positions=pos, velocities=np.zeros_like(pos))
     with pytest.raises(ValueError):
         detect_period(traj)
+
+
+def test_classify_repeated_frequency_periodic_couplings():
+    # alpha = Q diag(i [1, 1, 2, 2, ...]) Q^-1 with a well-conditioned Q:
+    # diagonalizable, with every frequency repeated, period 2 pi
+    rng = np.random.default_rng(2)
+    for n in (8, 8, 8, 8, 32, 32, 32, 32):
+        while True:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            q = np.eye(n) + 0.5 * g / math.sqrt(2 * n)
+            if np.linalg.cond(q) < 50.0:
+                break
+        lam = 1j * (np.arange(n) // 2 + 1)
+        a = np.linalg.solve(q.T, (q * lam).T).T
+        mc = classify_couplings(CouplingSpec(a.real, a.imag))
+        assert mc.completely_periodic is not None
+        assert abs(mc.completely_periodic - TWO_PI) <= 1e-9

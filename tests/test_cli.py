@@ -216,3 +216,19 @@ def test_out_dir_created(tmp_path):
     rc = main(["solve", "--scenario", path, "--out-dir", str(nested)])
     assert rc == 0
     assert (nested / "case_exact.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_solve_overflow_exits_1_with_one_error_line(tmp_path, capsys):
+    data = _basic_scenario()
+    data["beta"] = [[1.0]]
+    data["gamma"] = [[0.0]]
+    data["initial"] = [[1.0, 0.0, 1.0, 0.0]]
+    data["integrator"] = {"t_span": [0.0, 800.0], "samples": 2}
+    path = _write_scenario(tmp_path, data)
+    rc = main(["solve", "--scenario", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ")
+    assert "Traceback" not in err

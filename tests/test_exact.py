@@ -34,7 +34,7 @@ from planebody import (
     zero_couplings,
 )
 from planebody.exact import CenterSolution
-from planebody.model import alpha_matrix
+from planebody.model import ComplexState, alpha_matrix
 
 from _util import random_couplings, random_state
 
@@ -412,3 +412,39 @@ def test_exact_states_grid():
     g = GeneralizedParams(lam=0.1, omega=0.9)
     states_g = exact_states(sol, times, g=g)
     assert np.max(np.abs(states_g[0].positions - s.positions)) < 1e-14
+
+
+def test_degenerate_rank_deficient_similarity_3x3():
+    # zero row sums and a defective zero eigenvalue: the uniform
+    # log-derivative eta is representable, so z(t) = z0 exp(eta t)
+    eta = 0.3 + 0.7j
+    z0 = np.array([1.0, 1j, -0.8 + 0.3j])
+    for beta in (
+        [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 1.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [2.0, -1.0, -1.0]],
+    ):
+        sol = spectral_solve(CouplingSpec(beta, np.zeros((3, 3))), ComplexState(z0, eta * z0))
+        for t in (0.7, 1.9):
+            want = z0 * np.exp(eta * t)
+            assert np.max(np.abs(eval_z(sol, t).z - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_blowup_guard_catches_overflow_to_nan():
+    # exp(800) overflows inside phi1; the exponent is NaN, not > 700
+    c = CouplingSpec([[1.0]], [[0.0]])
+    sol = spectral_solve(c, to_complex(PlaneState([[1.0, 0.0]], [[1.0, 0.0]])))
+    with pytest.raises(BlowupError) as info:
+        eval_z(sol, 800.0)
+    assert info.value.time == 800.0
+
+
+@pytest.mark.parametrize("t", [8.0, 12.0])
+def test_generalized_blowup_reports_physical_time(t):
+    # tau(8) = 107.2 and tau(12) = 804.9: both leave the exponent range
+    c = CouplingSpec([[1.0]], [[0.0]])
+    sol = spectral_solve(c, to_complex(PlaneState([[1.0, 0.0]], [[1.0, 0.0]])))
+    with pytest.raises(BlowupError) as info:
+        eval_generalized(sol, GeneralizedParams(lam=0.5, omega=0.0), t)
+    assert info.value.time == t
+    assert f"t = {t}" in str(info.value)

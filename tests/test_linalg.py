@@ -179,3 +179,13 @@ def test_largest_supported_dimension():
     w = eigenvalues(a)
     ref = np.linalg.eigvals(a)
     assert match_distance(w, ref) < 1e-8 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_eigenvalue_order_ignores_rounding_in_real_parts():
+    # a rotated rotation generator has real parts of order 1e-17 either side
+    # of zero; they must not decide the order of -i and +i
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
+        a = q @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ q.T
+        assert np.allclose(eigenvalues(a), [-1j, 1j], atol=1e-14)
