@@ -11,6 +11,11 @@ double-exponential escape or collapse; a zero eigenvalue admits
 self-similar motions.
 
 detect_period confirms periods empirically on sampled trajectories.
+A purely imaginary spectrum seeds its candidate period; without one,
+the candidates are the local minima of the mean squared state distance
+over all lags, built in O(m log m) from one FFT autocorrelation.  Each
+candidate is refined and accepted by the mean distance between the
+interpolated trajectory and its shifted copy.
 """
 from __future__ import annotations
 
@@ -169,26 +174,52 @@ class _StateInterpolant:
 
     def __init__(self, traj: Trajectory):
         m = len(traj.times)
-        self.t0 = float(traj.times[0])
         self.dt = float(traj.times[1] - traj.times[0])
         self.pos = traj.positions.reshape(m, -1)
         self.vel = traj.velocities.reshape(m, -1)
         self.acc = _fd_acceleration(self.vel, self.dt)
         self.m = m
 
-    def states(self, ts: np.ndarray) -> np.ndarray:
-        u = (np.asarray(ts, dtype=np.float64) - self.t0) / self.dt
-        i = np.clip(np.floor(u).astype(int), 0, self.m - 2)
-        theta = (u - i)[:, None]
+    def shifted(self, shift: float, count: int) -> np.ndarray:
+        """States at the grid times t_i + shift * dt for i < count.
+
+        All points share one fractional offset, so the Hermite weights
+        are scalars and the data are contiguous slices.  Near the end of
+        the grid the slice stays in range and extrapolates instead.
+        """
+        j = min(math.floor(shift), self.m - 1 - count)
+        theta = shift - j
         t2 = theta * theta
         t3 = t2 * theta
         h00 = 2.0 * t3 - 3.0 * t2 + 1.0
         h10 = (t3 - 2.0 * t2 + theta) * self.dt
         h01 = -2.0 * t3 + 3.0 * t2
         h11 = (t3 - t2) * self.dt
-        p = h00 * self.pos[i] + h10 * self.vel[i] + h01 * self.pos[i + 1] + h11 * self.vel[i + 1]
-        v = h00 * self.vel[i] + h10 * self.acc[i] + h01 * self.vel[i + 1] + h11 * self.acc[i + 1]
+        a = slice(j, j + count)
+        b = slice(j + 1, j + 1 + count)
+        p = h00 * self.pos[a] + h10 * self.vel[a] + h01 * self.pos[b] + h11 * self.vel[b]
+        v = h00 * self.vel[a] + h10 * self.acc[a] + h01 * self.vel[b] + h11 * self.acc[b]
         return np.concatenate([p, v], axis=1)
+
+
+def _lag_profile(y: np.ndarray, kmax: int) -> np.ndarray:
+    """Mean squared distance of y[i + k] - y[i] over i, for lags k = 0..kmax.
+
+    Expands |y[i + k] - y[i]|^2: prefix sums of |y|^2 give the two norm
+    terms, and an FFT autocorrelation gives the cross term.  The FFT is
+    zero-padded to at least m + kmax points, so no lag wraps around, and
+    taken one column at a time, so memory stays at one padded column.
+    """
+    m = y.shape[0]
+    size = 1 << (m + kmax - 1).bit_length()
+    cross = np.zeros(kmax + 1)
+    for column in y.T:
+        f = np.fft.rfft(column, size)
+        cross += np.fft.irfft(f.real * f.real + f.imag * f.imag, size)[: kmax + 1]
+    sq = np.concatenate([[0.0], np.cumsum(np.sum(y * y, axis=1))])
+    k = np.arange(kmax + 1)
+    total = (sq[m] - sq[k]) + sq[m - k]
+    return np.maximum(total - 2.0 * cross, 0.0) / (m - k)
 
 
 def _golden_minimize(fn, a: float, b: float, iterations: int = 60) -> float:
@@ -214,10 +245,15 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
 
     Candidates come from rational_period over the nonzero frequencies
     when a purely imaginary (possibly zero-padded) spectrum is
-    supplied, otherwise from minima of the lag-distance profile; each
-    candidate is refined continuously before the tolerance test.  Constant trajectories return None.  Raises
-    InsufficientSpanError when fewer than 3 samples are available or a
-    spectrum-seeded candidate exceeds half the sampled span.
+    supplied.  Otherwise they are the local minima of the lag profile,
+    the mean squared state distance at each lag up to half the span,
+    built from one FFT autocorrelation; the profile is not computed
+    when the spectrum seeds a candidate.  Each candidate is refined
+    continuously (golden section on the interpolated mean distance)
+    before the tolerance test.  Constant trajectories return None.
+    Raises InsufficientSpanError when fewer than 3 samples are
+    available or a spectrum-seeded candidate exceeds half the sampled
+    span.
     """
     m = len(traj.times)
     if m < 3:
@@ -237,12 +273,6 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
         return None  # standstill, no meaningful period
 
     kmax = (m - 1) // 2
-    lag_dist = np.empty(kmax + 1)
-    lag_dist[0] = 0.0
-    for k in range(1, kmax + 1):
-        d = y[k:] - y[:-k]
-        lag_dist[k] = float(np.mean(np.sqrt(np.sum(d * d, axis=1)))) / scale
-
     candidates: list[float] = []
     if eigenvalues is not None:
         w = np.asarray(eigenvalues, dtype=np.complex128).ravel()
@@ -259,17 +289,17 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
                 )
             candidates.append(t_seed)
     if not candidates:
-        for k in range(2, kmax):
-            if lag_dist[k] < lag_dist[k - 1] and lag_dist[k] <= lag_dist[k + 1]:
-                candidates.append(k * dt)
+        lag = _lag_profile(y, kmax)
+        inner = lag[2:kmax]
+        minima = (inner < lag[1 : kmax - 1]) & (inner <= lag[3 : kmax + 1])
+        candidates = [k * dt for k in (np.flatnonzero(minima) + 2).tolist()]
 
     interp = _StateInterpolant(traj)
     count = max(1, m - kmax)
-    head = np.asarray(traj.times[:count], dtype=np.float64)
-    base_states = interp.states(head)
+    base_states = y[:count]
 
     def mean_distance(period: float) -> float:
-        d = interp.states(head + period) - base_states
+        d = interp.shifted(period / dt, count) - base_states
         return float(np.mean(np.sqrt(np.sum(d * d, axis=1)))) / scale
 
     for t_cand in sorted(candidates):

@@ -191,7 +191,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _run_compare(sc: Scenario, args):
+def _run_compare(sc: Scenario, args) -> Trajectory:
+    """Write both routes and the deviation report; return the numeric run."""
     exact_traj = _exact_trajectory(sc)
     numeric_traj = _numeric_trajectory(sc)
     exact_path = _out_path(args, f"{sc.name}_exact.csv")
@@ -205,7 +206,7 @@ def _run_compare(sc: Scenario, args):
         print(f"wrote {path}")
     print(f"max position deviation: {_NUM(report.max_position_abs)}")
     print(f"max velocity deviation: {_NUM(report.max_velocity_abs)}")
-    return report
+    return numeric_traj
 
 
 def _spectrum_for(sc: Scenario) -> np.ndarray:
@@ -241,10 +242,15 @@ def _classification_lines(sc: Scenario, detected) -> list[str]:
     return rows
 
 
-def _detect_on_trajectory(sc: Scenario):
-    """Best-effort period detection on a numeric run; never fatal."""
+def _detect_on_trajectory(sc: Scenario, traj: Trajectory | None = None):
+    """Best-effort period detection on a numeric run; never fatal.
+
+    traj is a numeric run of sc made earlier; without one, sc is
+    integrated here.
+    """
     try:
-        traj = _numeric_trajectory(sc)
+        if traj is None:
+            traj = _numeric_trajectory(sc)
         w = _spectrum_for(sc)
         return detect_period(traj, eigenvalues=w)
     except InsufficientSpanError:
@@ -276,15 +282,16 @@ def _cmd_demo(args) -> int:
     # Re-read through the parser so the demo exercises the documented format.
     sc = _apply_overrides(parse_scenario(scenario_path), args)
     outputs = set(sc.outputs)
+    numeric = None
     if "comparison" in outputs:
-        _run_compare(sc, args)
+        numeric = _run_compare(sc, args)
     elif "trajectory" in outputs:
         traj = _exact_trajectory(sc)
         path = _out_path(args, f"{sc.name}_exact.csv")
         write_trajectory_csv(path, traj)
         print(f"wrote {path}")
     if "classification" in outputs:
-        detected = _detect_on_trajectory(sc)
+        detected = _detect_on_trajectory(sc, numeric)
         lines = _classification_lines(sc, detected)
         path = _out_path(args, f"{sc.name}_classify.txt")
         _write_lines(path, lines)

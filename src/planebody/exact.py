@@ -33,7 +33,6 @@ from .model import (
     PairState,
     PlaneState,
     alpha_matrix,
-    from_complex,
     perp,
     to_complex,
 )
@@ -56,6 +55,16 @@ def _cexpm1(x: np.ndarray) -> np.ndarray:
     re = np.expm1(a) * np.cos(b) - 2.0 * np.sin(b / 2.0) ** 2
     im = np.exp(a) * np.sin(b)
     return re + 1j * im
+
+
+def _cexp(x: np.ndarray) -> np.ndarray:
+    """exp(x) for a complex array, from the real exp, cos and sin, which
+    numpy vectorizes and its complex exp does not."""
+    e = np.exp(x.real)
+    out = np.empty_like(x)
+    out.real = e * np.cos(x.imag)
+    out.imag = e * np.sin(x.imag)
+    return out
 
 
 def phi1(x):
@@ -187,56 +196,109 @@ def eval_z(sol: SpectralSolution, t) -> ComplexState:
     Raises BlowupError when any log-magnitude exponent leaves [-700, 700]
     or stops being finite, which is where the double-exponential escape
     (or collapse onto the origin) stops being representable in double
-    precision.
+    precision, and when z or z' overflows inside that range.
     """
-    return _eval_at(sol, t, t)
+    z, zdot = _eval_grid(sol, np.array([t]), np.array([t]))
+    return ComplexState(z[:, 0], zdot[:, 0])
 
 
-def _eval_at(sol: SpectralSolution, s, t) -> ComplexState:
-    """eval_z at the (possibly substituted) time s; t is the time a blow-up reports."""
-    at = sol.eigenvalues * s
+def _eval_grid(sol: SpectralSolution, s: np.ndarray, t: np.ndarray, dsdt=None):
+    """z and z' as (n, m) arrays at the (possibly substituted) times s.
+
+    t holds the physical times that a blow-up reports, and dsdt, when
+    given, the chain-rule factor ds/dt of the velocity.  Every sample is
+    checked, and the error is the one of the first failing sample: an
+    exponent outside [-700, 700] or not finite, a z or z' that overflows
+    (BlowupError), or a z that underflows to the origin (OriginError).
+    """
+    at = np.multiply.outer(sol.eigenvalues, s)
     with np.errstate(over="ignore", invalid="ignore"):  # range-checked below
         exponent = sol.coefficients @ (s * phi1(at))
+        z = sol.z0[:, None] * _cexp(exponent)
+        zdot = (sol.coefficients @ _cexp(at)) * z
+        if dsdt is not None:
+            zdot = zdot * dsdt
     re = exponent.real
-    j = int(np.argmax(np.abs(re)))  # the first NaN, if any
-    if not (abs(re[j]) <= EXPONENT_LIMIT and np.all(np.isfinite(exponent.imag))):
-        kind = "escape" if re[j] > 0 else "collapse" if re[j] < 0 else "overflow"
+    # a non-finite exponent, z or dsdt leaves z' non-finite as well
+    ok = (np.abs(re) <= EXPONENT_LIMIT) & np.isfinite(zdot) & (z != 0.0)
+    if ok.all():
+        return z, zdot
+    k = int(np.argmin(ok.all(axis=0)))
+    tk = t[k].item()
+    if not (np.all(np.abs(re[:, k]) <= EXPONENT_LIMIT) and np.all(np.isfinite(exponent.imag[:, k]))):
+        j = int(np.argmax(np.abs(re[:, k])))  # the first NaN, if any
+        kind = "escape" if re[j, k] > 0 else "collapse" if re[j, k] < 0 else "overflow"
         raise BlowupError(
-            f"particle {j + 1} exponent {re[j]:.6g} exceeds the "
-            f"representable range at t = {t} (double-exponential {kind})",
-            time=float(np.real(t)),
+            f"particle {j + 1} exponent {re[j, k]:.6g} exceeds the "
+            f"representable range at t = {tk} (double-exponential {kind})",
+            time=float(np.real(tk)),
         )
-    z = sol.z0 * np.exp(exponent)
-    return ComplexState(z, sol.coefficients @ np.exp(at) * z)
+    finite = np.isfinite(zdot[:, k])
+    if not np.all(finite):
+        j = int(np.argmin(finite))
+        what = "velocity" if np.isfinite(z[j, k]) else "position"
+        raise BlowupError(
+            f"particle {j + 1} {what} overflows at t = {tk} "
+            f"(exponent {re[j, k]:.6g}, double-exponential overflow)",
+            time=float(np.real(tk)),
+        )
+    raise OriginError("complex state has a particle exactly at the origin")
 
 
-def tau_map(g: GeneralizedParams, t: float) -> complex:
+def _reduced_phase(x: np.ndarray) -> np.ndarray:
+    """math.remainder(x, 2 pi) elementwise, to the last bit.
+
+    np.fmod is exact, and so is the one shift by 2 pi that brings its
+    result into [-pi, pi] (Sterbenz's lemma); an exact half-period tie
+    is left to math.remainder, which rounds it to the even multiple.
+    """
+    r = np.fmod(x, TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, np.where(r < -math.pi, r + TWO_PI, r))
+    ties = np.abs(r) == math.pi
+    if np.any(ties):
+        r[ties] = [math.remainder(v, TWO_PI) for v in x[ties]]
+    return r
+
+
+def tau_map(g: GeneralizedParams, t):
     """Complex time substitution tau(t) = t phi1((lam + i omega) t).
 
-    For lam = 0 the phase omega*t is reduced modulo 2*pi first, so tau
-    is periodic to the last bit and tau(2*pi/omega) is exactly zero
+    t may be a scalar (complex result) or an array of times.  For
+    lam = 0 the phase omega*t is reduced modulo 2*pi first, so tau is
+    periodic to the last bit and tau(2*pi/omega) is exactly zero
     whenever omega*t rounds onto a multiple of 2*pi.
     """
+    t = np.asarray(t, dtype=np.float64)
     if g.lam == 0.0 and g.omega != 0.0:
-        theta = math.remainder(g.omega * t, TWO_PI)
-        return (theta / g.omega) * phi1(1j * theta)
-    eta = complex(g.lam, g.omega)
-    return t * phi1(eta * t)
+        theta = _reduced_phase(np.atleast_1d(g.omega * t)).reshape(t.shape)
+        tau = (theta / g.omega) * phi1(1j * theta)
+    else:
+        tau = t * phi1(complex(g.lam, g.omega) * t)
+    return complex(tau) if t.ndim == 0 else tau
 
 
-def _tau_dot(g: GeneralizedParams, t: float) -> complex:
+def _tau_dot(g: GeneralizedParams, t: np.ndarray) -> np.ndarray:
+    """dtau/dt = exp((lam + i omega) t) on an array of times."""
     if g.lam == 0.0 and g.omega != 0.0:
-        theta = math.remainder(g.omega * t, TWO_PI)
-        return complex(math.cos(theta), math.sin(theta))
-    return np.exp(complex(g.lam, g.omega) * t)
+        theta = _reduced_phase(g.omega * t)
+        return np.cos(theta) + 1j * np.sin(theta)
+    return _cexp(complex(g.lam, g.omega) * t)
+
+
+def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams, t: np.ndarray):
+    """eval_generalized over an array of physical times t, as (n, m) arrays."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _eval_grid
+        tau = tau_map(g, t)
+        rate = _tau_dot(g, t)
+    return _eval_grid(sol, tau, t, rate)
 
 
 def eval_generalized(sol: SpectralSolution, g: GeneralizedParams, t: float) -> ComplexState:
     """State of the generalized model: base solution at tau(t), with the
     velocity picking up the chain-rule factor dtau/dt = exp((lam+i omega) t).
     A blow-up reports the physical time t, not tau(t)."""
-    base = _eval_at(sol, tau_map(g, t), t)
-    return ComplexState(base.z, base.zdot * _tau_dot(g, t))
+    z, zdot = _generalized_grid(sol, g, np.array([t]))
+    return ComplexState(z[:, 0], zdot[:, 0])
 
 
 @dataclass(frozen=True)
@@ -346,7 +408,16 @@ def row_sums_zero(c: CouplingSpec, tol: float | None = None) -> bool:
 
 
 def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None):
-    """Real-coordinate states over a time grid (base or generalized model)."""
+    """Real-coordinate states over a time grid (base or generalized model).
+
+    The whole grid is evaluated as one (n, m) array expression; a
+    blow-up anywhere on it raises for the first failing sample.
+    """
+    t = np.asarray(times, dtype=np.float64)
     if g is None or (g.lam == 0.0 and g.omega == 0.0):
-        return [from_complex(eval_z(sol, float(t))) for t in times]
-    return [from_complex(eval_generalized(sol, g, float(t))) for t in times]
+        z, zdot = _eval_grid(sol, t, t)
+    else:
+        z, zdot = _generalized_grid(sol, g, t)
+    pos = np.stack([z.real.T, z.imag.T], axis=2)
+    vel = np.stack([zdot.real.T, zdot.imag.T], axis=2)
+    return [PlaneState(p, v) for p, v in zip(pos, vel)]

@@ -18,6 +18,7 @@ from planebody import (
     to_complex,
     trajectory_from_states,
 )
+from planebody.classify import _flatten_states, _lag_profile
 from planebody.model import PlaneState
 
 TWO_PI = 2.0 * math.pi
@@ -232,3 +233,55 @@ def test_classify_repeated_frequency_periodic_couplings():
         mc = classify_couplings(CouplingSpec(a.real, a.imag))
         assert mc.completely_periodic is not None
         assert abs(mc.completely_periodic - TWO_PI) <= 1e-9
+
+
+def _direct_lag_profile(y, kmax):
+    """Mean squared distance |y[i + k] - y[i]|^2 over i, lag by lag."""
+    out = np.zeros(kmax + 1)
+    for k in range(1, kmax + 1):
+        d = y[k:] - y[:-k]
+        out[k] = np.mean(np.sum(d * d, axis=1))
+    return out
+
+
+def _periodic_closed_form(m, n=4, seed=5):
+    """alpha = Q diag(i k) Q^-1 with distinct integer k: period 2 pi / gcd(k)."""
+    rng = np.random.default_rng(seed)
+    k = rng.choice(np.arange(1, 5), n, replace=False) * rng.choice([-1, 1], n)
+    while True:
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = np.eye(n) + 0.5 * g / math.sqrt(2 * n)
+        if np.linalg.cond(q) < 50.0:
+            break
+    lam = 1j * k.astype(float)
+    a = np.linalg.solve(q.T, (q * lam).T).T
+    c = CouplingSpec(a.real, a.imag)
+    pos = rng.standard_normal((n, 2))
+    pos += 0.5 * pos / np.linalg.norm(pos, axis=1, keepdims=True)  # off the origin
+    s0 = PlaneState(pos, 0.3 * rng.standard_normal((n, 2)))
+    period = TWO_PI / math.gcd(*np.abs(k).tolist())
+    times = np.linspace(0.0, 2.5 * period, m)
+    traj = trajectory_from_states(times, exact_states(spectral_solve(c, to_complex(s0)), times))
+    return traj, lam, period
+
+
+@pytest.mark.parametrize("kind", ["random", "periodic"])
+def test_lag_profile_matches_direct_sum(kind):
+    m = 301
+    if kind == "random":
+        y = np.random.default_rng(6).standard_normal((m, 8)) + 3.0
+    else:
+        y = _flatten_states(_periodic_closed_form(m)[0])
+    kmax = (m - 1) // 2
+    scale = float(np.max(np.sum(y * y, axis=1)))
+    got = _lag_profile(y, kmax)
+    assert got.shape == (kmax + 1,)
+    assert np.max(np.abs(got - _direct_lag_profile(y, kmax))) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_detect_period_periodic_closed_form_8001(seeded):
+    traj, lam, period = _periodic_closed_form(8001)
+    t = detect_period(traj, eigenvalues=lam if seeded else None)
+    assert t is not None
+    assert abs(t - period) <= 1e-6

@@ -232,3 +232,45 @@ def test_solve_overflow_exits_1_with_one_error_line(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_solve_velocity_overflow_exits_1_with_one_error_line(tmp_path, capsys):
+    # the exponent stays below 700 while z' = f z overflows first
+    data = _basic_scenario()
+    data["beta"] = [[100.0]]
+    data["gamma"] = [[0.0]]
+    data["initial"] = [[1.0, 0.0, 1.0, 0.0]]
+    data["integrator"] = {"t_span": [0.0, 0.2], "samples": 20001}
+    path = _write_scenario(tmp_path, data)
+    rc = main(["solve", "--scenario", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ")
+    assert "Traceback" not in err
+
+
+def test_demo_integrates_once(tmp_path, monkeypatch):
+    import planebody.cli as cli
+
+    calls = []
+    real = cli.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    demo = tmp_path / "demo"
+    assert main(["demo", "periodic-2-3", "--out-dir", str(demo)]) == 0
+    assert len(calls) == 1
+    # the subcommands, which integrate on their own, write the same files
+    scenario = str(demo / "periodic-2-3_scenario.json")
+    sub = tmp_path / "sub"
+    assert main(["compare", "--scenario", scenario, "--out-dir", str(sub)]) == 0
+    assert main(["classify", "--scenario", scenario, "--out-dir", str(sub)]) == 0
+    for suffix in ("_exact.csv", "_numeric.csv", "_compare.txt", "_classify.txt"):
+        name = f"periodic-2-3{suffix}"
+        assert (demo / name).read_bytes() == (sub / name).read_bytes()
+    assert "detected_period: 6.28318" in (demo / "periodic-2-3_classify.txt").read_text()

@@ -33,7 +33,7 @@ from planebody import (
     to_complex,
     zero_couplings,
 )
-from planebody.exact import CenterSolution
+from planebody.exact import CenterSolution, _reduced_phase
 from planebody.model import ComplexState, alpha_matrix
 
 from _util import random_couplings, random_state
@@ -448,3 +448,66 @@ def test_generalized_blowup_reports_physical_time(t):
         eval_generalized(sol, GeneralizedParams(lam=0.5, omega=0.0), t)
     assert info.value.time == t
     assert f"t = {t}" in str(info.value)
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("g", [None, GeneralizedParams(0.0, 1.3), GeneralizedParams(0.2, 0.9)])
+def test_exact_states_matches_per_sample_evaluation(g):
+    # the grid evaluator against one-sample calls: base model, lam = 0, lam != 0
+    rng = np.random.default_rng(41)
+    c = random_couplings(rng, 4)
+    sol = spectral_solve(c, to_complex(random_state(rng, 4)))
+    times = np.linspace(-1.0, 6.0, 37)
+    states = exact_states(sol, times, g=g)
+    for t, st in zip(times, states):
+        want = eval_z(sol, float(t)) if g is None else eval_generalized(sol, g, float(t))
+        z = st.positions[:, 0] + 1j * st.positions[:, 1]
+        zdot = st.velocities[:, 0] + 1j * st.velocities[:, 1]
+        assert _max_rel(z, want.z) <= 1e-13
+        assert _max_rel(zdot, want.zdot) <= 1e-13
+
+
+def test_reduced_phase_matches_math_remainder_bitwise():
+    # a grid crossing several periods, both signs, and the exact multiples
+    omega = 1.7
+    x = omega * np.concatenate([np.linspace(-40.0, 40.0, 10001), [0.0, -0.0]])
+    x = np.concatenate([x, 2.0 * math.pi * np.arange(-5, 6), [math.pi, -math.pi, 3 * math.pi]])
+    got = _reduced_phase(x)
+    want = np.array([math.remainder(v, 2.0 * math.pi) for v in x])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_grid_blowup_matches_first_failing_sample():
+    # escape starts partway through the grid; the grid raises for the
+    # first sample that fails on its own, with the same time and message
+    c = CouplingSpec([[1.0, 0.0], [0.0, -0.5]], np.zeros((2, 2)))
+    sol = spectral_solve(c, to_complex(PlaneState([[1.0, 0.0], [0.0, 1.0]],
+                                                  [[1.0, 0.0], [0.0, 0.5]])))
+    times = np.linspace(0.0, 9.0, 91)
+    for g in (None, GeneralizedParams(0.5, 0.0)):
+        first = None
+        for t in times:
+            try:
+                eval_z(sol, float(t)) if g is None else eval_generalized(sol, g, float(t))
+            except BlowupError as exc:
+                first = exc
+                break
+        assert first is not None and 0.0 < first.time < 9.0
+        with pytest.raises(BlowupError) as info:
+            exact_states(sol, times, g=g)
+        assert info.value.time == first.time
+        assert str(info.value) == str(first)
+
+
+def test_velocity_overflow_raises_blowup():
+    # the exponent stays below 700 while z' = f z overflows
+    c = CouplingSpec([[100.0]], [[0.0]])
+    sol = spectral_solve(c, to_complex(PlaneState([[1.0, 0.0]], [[1.0, 0.0]])))
+    t = math.log(1.0 + 100.0 * 699.0) / 100.0  # exponent 699
+    with pytest.raises(BlowupError) as info:
+        eval_z(sol, t)
+    assert info.value.time == t
+    assert "velocity overflows" in str(info.value)
