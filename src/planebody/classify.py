@@ -258,6 +258,9 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
     m = len(traj.times)
     if m < 3:
         raise InsufficientSpanError(f"{m} samples cannot confirm any period")
+    if traj.times[-1] < traj.times[0]:
+        # a decreasing grid holds the same motion: detect on it in time order
+        traj = Trajectory(traj.times[::-1], traj.positions[::-1], traj.velocities[::-1], traj.pair)
     dt = float(traj.times[1] - traj.times[0])
     steps = np.diff(traj.times)
     if np.max(np.abs(steps - dt)) > 1e-9 * abs(dt):

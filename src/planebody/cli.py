@@ -110,8 +110,7 @@ def _exact_trajectory(sc: Scenario) -> Trajectory:
     times = _sample_times(sc)
     if sc.variant == "pair":
         ps = exact.pair_solve(sc.pair, sc.initial)
-        states = [exact.eval_pair_solution(ps, float(t)) for t in times]
-        return trajectory_from_states(times, states, pair=True)
+        return trajectory_from_states(times, exact._pair_states(ps, times), pair=True)
     sol = exact.spectral_solve(sc.couplings, to_complex(sc.initial))
     states = exact.exact_states(sol, times, g=sc.generalized)
     return trajectory_from_states(times, states)
@@ -303,7 +302,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every route checks its results for overflow and NaN itself and
+        # reports them as one ERROR line; numpy's warnings would add more
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ScenarioError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2

@@ -211,19 +211,35 @@ def _eval_grid(sol: SpectralSolution, s: np.ndarray, t: np.ndarray, dsdt=None):
     exponent outside [-700, 700] or not finite, a z or z' that overflows
     (BlowupError), or a z that underflows to the origin (OriginError).
     """
+    exponent, z, zdot = _grid_values(sol, s, dsdt)
+    k = _first_failure(exponent, z, zdot)
+    if k < z.shape[1]:
+        _raise_failure(k, exponent, z, zdot, t)
+    return z, zdot
+
+
+def _grid_values(sol: SpectralSolution, s: np.ndarray, dsdt=None):
+    """Exponent, z and z' as (n, m) arrays, not yet checked."""
     at = np.multiply.outer(sol.eigenvalues, s)
-    with np.errstate(over="ignore", invalid="ignore"):  # range-checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
         exponent = sol.coefficients @ (s * phi1(at))
         z = sol.z0[:, None] * _cexp(exponent)
         zdot = (sol.coefficients @ _cexp(at)) * z
         if dsdt is not None:
             zdot = zdot * dsdt
-    re = exponent.real
+    return exponent, z, zdot
+
+
+def _first_failure(exponent, z, zdot) -> int:
+    """Index of the first sample that fails the checks of _eval_grid, or m."""
     # a non-finite exponent, z or dsdt leaves z' non-finite as well
-    ok = (np.abs(re) <= EXPONENT_LIMIT) & np.isfinite(zdot) & (z != 0.0)
-    if ok.all():
-        return z, zdot
-    k = int(np.argmin(ok.all(axis=0)))
+    ok = ((np.abs(exponent.real) <= EXPONENT_LIMIT) & np.isfinite(zdot) & (z != 0.0)).all(axis=0)
+    return ok.size if ok.all() else int(np.argmin(ok))
+
+
+def _raise_failure(k: int, exponent, z, zdot, t) -> None:
+    """Raise the error of failing sample k, reporting the time t[k]."""
+    re = exponent.real
     tk = t[k].item()
     if not (np.all(np.abs(re[:, k]) <= EXPONENT_LIMIT) and np.all(np.isfinite(exponent.imag[:, k]))):
         j = int(np.argmax(np.abs(re[:, k])))  # the first NaN, if any
@@ -316,8 +332,16 @@ def eval_center(cs: CenterSolution, t: float) -> tuple[np.ndarray, np.ndarray]:
     The derivative is Z'_j(0) exp(mu_j t), so both initial conditions
     (value and slope) are honored, including mu_j = 0.
     """
-    z = cs.z0 + cs.zdot0 * (t * phi1(cs.mu * t))
-    zdot = cs.zdot0 * np.exp(cs.mu * t)
+    z, zdot = _center_grid(cs, np.array([t], dtype=np.float64))
+    return z[:, 0], zdot[:, 0]
+
+
+def _center_grid(cs: CenterSolution, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eval_center over an array of times, as unchecked (n, m) arrays."""
+    mt = np.multiply.outer(cs.mu, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _pair_states
+        z = cs.z0[:, None] + cs.zdot0[:, None] * (t * phi1(mt))
+        zdot = cs.zdot0[:, None] * np.exp(mt)
     return z, zdot
 
 
@@ -346,16 +370,39 @@ def pair_solve(p: PairSpec, initial: PairState) -> PairSolution:
 
 
 def eval_pair_solution(ps: PairSolution, t: float) -> PairState:
-    rel = eval_z(ps.relative, t)
-    zsum, zdotsum = eval_center(ps.center, t)
-    zp = 0.5 * (zsum + rel.z)
-    zm = 0.5 * (zsum - rel.z)
-    vp = 0.5 * (zdotsum + rel.zdot)
-    vm = 0.5 * (zdotsum - rel.zdot)
-    return PairState(
-        plus=PlaneState(np.stack([zp.real, zp.imag], 1), np.stack([vp.real, vp.imag], 1)),
-        minus=PlaneState(np.stack([zm.real, zm.imag], 1), np.stack([vm.real, vm.imag], 1)),
-    )
+    """Closed-form state of the doubled system at time t."""
+    return _pair_states(ps, np.array([t], dtype=np.float64))[0]
+
+
+def _pair_states(ps: PairSolution, times) -> list[PairState]:
+    """Closed-form states of the doubled system over a time grid.
+
+    The relative part is one grid of _eval_grid's values and the centre
+    part one (n, m) expression.  Samples are checked in time order, and
+    the error is the one of the first failing sample: the relative part's
+    blow-up (as in _eval_grid), then an overflow of the families
+    (BlowupError), then an exact plus/minus coincidence
+    (PairCollisionError, raised by PairState._checked).
+    """
+    t = np.asarray(times, dtype=np.float64)
+    exponent, rel, reldot = _grid_values(ps.relative, t)
+    bad = _first_failure(exponent, rel, reldot)
+    zsum, zdotsum = _center_grid(ps.center, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        families = [0.5 * (zsum + rel), 0.5 * (zdotsum + reldot),
+                    0.5 * (zsum - rel), 0.5 * (zdotsum - reldot)]
+    finite = np.logical_and.reduce([np.isfinite(f).all(axis=0) for f in families])
+    stop = min(bad, finite.size if finite.all() else int(np.argmin(finite)))
+    pp, pv, mp, mv = [np.stack([f.real.T, f.imag.T], axis=2) for f in families]
+    states = [
+        PairState._checked(PlaneState._checked(pp[i], pv[i]), PlaneState._checked(mp[i], mv[i]))
+        for i in range(stop)
+    ]
+    if stop < bad:
+        raise BlowupError(f"a plus/minus state overflows at t = {t[stop].item()}", time=float(t[stop]))
+    if bad < t.size:
+        _raise_failure(bad, exponent, rel, reldot, t)
+    return states
 
 
 def eval_pair(p: PairSpec, initial: PairState, t: float) -> PairState:
@@ -411,7 +458,10 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
     """Real-coordinate states over a time grid (base or generalized model).
 
     The whole grid is evaluated as one (n, m) array expression; a
-    blow-up anywhere on it raises for the first failing sample.
+    blow-up anywhere on it raises for the first failing sample.  Having
+    checked every value there, the states are read-only views of two
+    (m, n, 2) arrays wrapped by PlaneState._checked, not copies checked
+    again one sample at a time.
     """
     t = np.asarray(times, dtype=np.float64)
     if g is None or (g.lam == 0.0 and g.omega == 0.0):
@@ -420,4 +470,4 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
         z, zdot = _generalized_grid(sol, g, t)
     pos = np.stack([z.real.T, z.imag.T], axis=2)
     vel = np.stack([zdot.real.T, zdot.imag.T], axis=2)
-    return [PlaneState(p, v) for p, v in zip(pos, vel)]
+    return [PlaneState._checked(p, v) for p, v in zip(pos, vel)]

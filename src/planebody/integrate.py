@@ -30,7 +30,8 @@ from .model import PairState, PlaneState, check_origin_guard
 OVERFLOW_LIMIT = 1e150
 
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
+# stage rows as arrays, built once rather than at every stage
+_DP_A = tuple(np.array(row) for row in (
     (),
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -38,7 +39,7 @@ _DP_A = (
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
+))
 # fifth-order weights equal the last stage row (FSAL); the embedded
 # fourth-order difference drives the error estimate
 _DP_E = np.array(
@@ -149,22 +150,15 @@ class _PlanePacker:
 
     def unpack(self, y: np.ndarray) -> PlaneState:
         k = 2 * self.n
-        return PlaneState(y[:k].reshape(self.n, 2), y[k:].reshape(self.n, 2))
-
-    def positions_of(self, y: np.ndarray) -> np.ndarray:
-        return y[: 2 * self.n].reshape(self.n, 2)
+        return PlaneState._checked(y[:k].reshape(self.n, 2), y[k:].reshape(self.n, 2))
 
     def guard_positions(self, y: np.ndarray) -> np.ndarray:
-        return self.positions_of(y)
+        return y[: 2 * self.n].reshape(self.n, 2)
 
     def derivative(self, rhs, t: float, y: np.ndarray) -> np.ndarray:
         state = self.unpack(y)
         acc = np.asarray(rhs(t, state), dtype=np.float64)
         return np.concatenate([state.velocities.ravel(), acc.ravel()])
-
-    def split(self, y: np.ndarray):
-        k = 2 * self.n
-        return y[:k].reshape(self.n, 2), y[k:].reshape(self.n, 2)
 
 
 class _PairPacker:
@@ -187,9 +181,9 @@ class _PairPacker:
     def unpack(self, y: np.ndarray) -> PairState:
         n = self.n
         k = 2 * n
-        return PairState(
-            plus=PlaneState(y[:k].reshape(n, 2), y[2 * k:3 * k].reshape(n, 2)),
-            minus=PlaneState(y[k:2 * k].reshape(n, 2), y[3 * k:].reshape(n, 2)),
+        return PairState._checked(
+            PlaneState._checked(y[:k].reshape(n, 2), y[2 * k:3 * k].reshape(n, 2)),
+            PlaneState._checked(y[k:2 * k].reshape(n, 2), y[3 * k:].reshape(n, 2)),
         )
 
     def guard_positions(self, y: np.ndarray) -> np.ndarray:
@@ -208,13 +202,6 @@ class _PairPacker:
                 np.asarray(acc_m, dtype=np.float64).ravel(),
             ]
         )
-
-    def split(self, y: np.ndarray):
-        n = self.n
-        k = 2 * n
-        pos = np.concatenate([y[:k], y[k:2 * k]]).reshape(2 * n, 2)
-        vel = np.concatenate([y[2 * k:3 * k], y[3 * k:]]).reshape(2 * n, 2)
-        return pos, vel
 
 
 class _GuardTrip(Exception):
@@ -294,7 +281,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         k[0] = f
         try:
             for i in range(1, 7):
-                yi = y + h * (np.asarray(_DP_A[i]) @ k[:i])
+                yi = y + h * (_DP_A[i] @ k[:i])
                 k[i] = deriv(t + _DP_C[i] * h, yi)
                 nfev += 1
         except _GuardTrip as trip:
@@ -312,7 +299,8 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
         if err <= 1.0:
-            if float(np.max(np.abs(y_new))) > OVERFLOW_LIMIT:
+            # stages are not re-checked, so a NaN must fail this test too
+            if not float(np.max(np.abs(y_new))) <= OVERFLOW_LIMIT:
                 raise BlowupError(
                     f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} near t = {t + h:.6g}",
                     time=float(t + h),
@@ -339,14 +327,13 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         out[next_sample] = y
         next_sample += 1
 
-    pos = np.empty((m, out.shape[1] // 4, 2))
-    vel = np.empty_like(pos)
-    for i in range(m):
-        pos[i], vel[i] = packer.split(out[i])
+    # both packings hold every position before every velocity, and the
+    # pair packing puts the plus family first, as Trajectory stacks it
+    half = out.shape[1] // 2
     return Trajectory(
         times=samples,
-        positions=pos,
-        velocities=vel,
+        positions=out[:, :half].reshape(m, -1, 2),
+        velocities=out[:, half:].reshape(m, -1, 2),
         pair=packer.pair,
         metadata={
             "variant": packer.variant,

@@ -75,7 +75,21 @@ def alpha_matrix(c: CouplingSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaneState:
-    """Positions and velocities as (n, 2) arrays of plane vectors."""
+    """Positions and velocities as (n, 2) arrays of plane vectors.
+
+    A state is checked where it enters the package and wrapped, not
+    checked again, everywhere after that.  The constructor copies,
+    shape-checks, finiteness-checks and freezes both arrays, so user data
+    and parsed scenarios always go through it.  `_checked` stores arrays
+    that are already known to be finite float64 of shape (n, 2), with no
+    copy; its only callers are
+      - the closed-form grid (`exact.exact_states`), after `_eval_grid`
+        has checked every z and z';
+      - the pair grid (`exact._pair_states`), after the same check and
+        a finiteness check of the centre part;
+      - the integrator's stages (`integrate`), whose inputs are built from
+        finite, guarded states and isfinite-checked derivatives.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -85,6 +99,20 @@ class PlaneState:
         vel = _frozen_array(self.velocities, pos.shape, "velocities")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
+
+    @classmethod
+    def _checked(cls, positions: np.ndarray, velocities: np.ndarray) -> "PlaneState":
+        """Wrap already-checked (n, 2) float64 arrays: no copy, no checks.
+
+        The arrays (often views of a larger grid or stage vector) are set
+        read-only; see the class docstring for the callers allowed to use it.
+        """
+        positions.setflags(write=False)
+        velocities.setflags(write=False)
+        s = object.__new__(cls)
+        object.__setattr__(s, "positions", positions)
+        object.__setattr__(s, "velocities", velocities)
+        return s
 
     @property
     def n(self) -> int:
@@ -166,18 +194,36 @@ class PairState:
             raise ValueError(
                 f"family sizes differ: plus has {self.plus.n}, minus has {self.minus.n}"
             )
-        if np.any(np.all(self.plus.positions == self.minus.positions, axis=1)):
-            raise PairCollisionError("a plus/minus pair coincides exactly")
+        _check_no_coincidence(self.plus.positions, self.minus.positions)
+
+    @classmethod
+    def _checked(cls, plus: PlaneState, minus: PlaneState) -> "PairState":
+        """Pair two checked families of one size without the type and size
+        checks; the exact-coincidence check stays, because no earlier check
+        covers it.  Callers are those of `PlaneState._checked`."""
+        _check_no_coincidence(plus.positions, minus.positions)
+        s = object.__new__(cls)
+        object.__setattr__(s, "plus", plus)
+        object.__setattr__(s, "minus", minus)
+        return s
 
     @property
     def n(self) -> int:
         return self.plus.n
 
 
-def check_origin_guard(positions: np.ndarray, error=OriginError) -> None:
+def _check_no_coincidence(plus: np.ndarray, minus: np.ndarray) -> None:
+    if np.any(np.all(plus == minus, axis=1)):
+        raise PairCollisionError("a plus/minus pair coincides exactly")
+
+
+def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> None:
     """Reject states with a particle within 1e-12 of the origin, relative
-    to the largest particle radius at the same instant."""
-    radii = np.sqrt(np.sum(positions * positions, axis=1))
+    to the largest particle radius at the same instant.  r2, when given,
+    holds the squared radii the caller already computed."""
+    if r2 is None:
+        r2 = np.sum(positions * positions, axis=1)
+    radii = np.sqrt(r2)
     rmin = float(np.min(radii))
     rmax = float(np.max(radii))
     if rmin == 0.0 or rmin < ORIGIN_GUARD_RATIO * rmax:
@@ -204,13 +250,14 @@ def from_complex(c: ComplexState) -> PlaneState:
     )
 
 
-def _pair_interaction(beta, gamma, r, v):
+def _pair_interaction(beta, gamma, r, v, r2):
     """Accelerations of the base law for positions r and velocities v.
 
-    Divisions by |r_k|^2 happen before the outer products so huge but
-    representable states do not overflow in intermediates.
+    r2 holds the squared radii |r_k|^2, which the caller's origin guard
+    has already computed.  Divisions by them happen before the outer
+    products so huge but representable states do not overflow in
+    intermediates.
     """
-    r2 = np.sum(r * r, axis=1)
     vr = np.sum(v * r, axis=1) / r2
     vv = np.sum(v * v, axis=1) / r2
     one_body = 2.0 * v * vr[:, None] - r * vv[:, None]
@@ -232,8 +279,9 @@ def rhs_base(c: CouplingSpec, s: PlaneState) -> np.ndarray:
     """Accelerations (n, 2) of the autonomous model, in real arithmetic."""
     if c.n != s.n:
         raise ValueError(f"coupling size {c.n} does not match state size {s.n}")
-    check_origin_guard(s.positions)
-    return _pair_interaction(c.beta, c.gamma, s.positions, s.velocities)
+    r2 = np.sum(s.positions * s.positions, axis=1)
+    check_origin_guard(s.positions, r2=r2)
+    return _pair_interaction(c.beta, c.gamma, s.positions, s.velocities, r2)
 
 
 def rhs_complex(c: CouplingSpec, s: ComplexState) -> np.ndarray:
@@ -263,9 +311,10 @@ def rhs_generalized(c: CouplingSpec, g: GeneralizedParams, t: float, s: PlaneSta
         return rhs_base(c, s)
     if c.n != s.n:
         raise ValueError(f"coupling size {c.n} does not match state size {s.n}")
-    check_origin_guard(s.positions)
+    r2 = np.sum(s.positions * s.positions, axis=1)
+    check_origin_guard(s.positions, r2=r2)
     beta_t, gamma_t = couplings_at(c, g, t)
-    acc = _pair_interaction(beta_t, gamma_t, s.positions, s.velocities)
+    acc = _pair_interaction(beta_t, gamma_t, s.positions, s.velocities, r2)
     return acc + g.lam * s.velocities + g.omega * perp(s.velocities)
 
 
@@ -279,8 +328,9 @@ def rhs_pair(p: PairSpec, s: PairState) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"coupling size {p.n} does not match state size {s.n}")
     r = s.plus.positions - s.minus.positions
     v = s.plus.velocities - s.minus.velocities
-    check_origin_guard(r, error=PairCollisionError)
+    r2 = np.sum(r * r, axis=1)
+    check_origin_guard(r, error=PairCollisionError, r2=r2)
     rdot_sum = s.plus.velocities + s.minus.velocities
     center = p.lam[:, None] * rdot_sum + p.omega[:, None] * perp(rdot_sum)
-    interaction = _pair_interaction(p.base.beta, p.base.gamma, r, v)
+    interaction = _pair_interaction(p.base.beta, p.base.gamma, r, v, r2)
     return 0.5 * (center + interaction), 0.5 * (center - interaction)

@@ -49,3 +49,19 @@ def state_distance(s1: PlaneState, s2: PlaneState) -> float:
 
 def complex_state_of(s: PlaneState):
     return to_complex(s)
+
+
+def count_frozen_arrays(monkeypatch) -> list:
+    """Count calls of the validating array constructor behind PlaneState:
+    the returned list grows by one per call."""
+    import planebody.model as model
+
+    calls = []
+    real = model._frozen_array
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_frozen_array", counting)
+    return calls

@@ -285,3 +285,29 @@ def test_detect_period_periodic_closed_form_8001(seeded):
     t = detect_period(traj, eigenvalues=lam if seeded else None)
     assert t is not None
     assert abs(t - period) <= 1e-6
+
+
+@pytest.mark.parametrize("route", ["exact", "numeric"])
+def test_detect_period_on_decreasing_grid_matches_increasing(route):
+    from planebody import IntegratorConfig, integrate, rhs_base
+
+    c = CouplingSpec(np.zeros((2, 2)), np.diag([2.0, 3.0]))
+    s0 = PlaneState([[1.0, 0.0], [0.0, 1.5]], [[0.1, 0.2], [0.3, 0.0]])
+    sol = spectral_solve(c, to_complex(s0))
+    lam = 1j * np.array([2.0, 3.0])
+    end = exact_states(sol, [14.0])[0]
+    trajs = []
+    for t_span, start in (((0.0, 14.0), s0), ((14.0, 0.0), end)):
+        if route == "exact":
+            times = np.linspace(*t_span, 281)
+            trajs.append(trajectory_from_states(times, exact_states(sol, times)))
+        else:
+            cfg = IntegratorConfig(t_span=t_span, sample_count=281)
+            trajs.append(integrate(lambda t, s: rhs_base(c, s), start, cfg))
+    forward, backward = trajs
+    assert backward.times[0] > backward.times[-1]
+    for eigenvalues in (None, lam):
+        want = detect_period(forward, eigenvalues=eigenvalues)
+        got = detect_period(backward, eigenvalues=eigenvalues)
+        assert want == pytest.approx(TWO_PI, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-9)

@@ -1,10 +1,14 @@
 """Command line interface: subcommands, file formats, exit codes, diagnostics."""
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planebody.cli import main, read_trajectory_csv, write_trajectory_csv
 from planebody.integrate import IntegratorConfig, integrate
@@ -274,3 +278,107 @@ def test_demo_integrates_once(tmp_path, monkeypatch):
         name = f"periodic-2-3{suffix}"
         assert (demo / name).read_bytes() == (sub / name).read_bytes()
     assert "detected_period: 6.28318" in (demo / "periodic-2-3_classify.txt").read_text()
+
+
+def test_classify_reports_period_on_decreasing_time_span(tmp_path, capsys):
+    data = _basic_scenario("backward")
+    data["gamma"] = [[2.0, 0.0], [0.0, 3.0]]
+    data["initial"] = [[1.0, 0.0, 0.1, 0.2], [0.0, 1.5, 0.3, 0.0]]
+    data["integrator"] = {"t_span": [14.0, 0.0], "samples": 281}
+    path = _write_scenario(tmp_path, data)
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    text = capsys.readouterr().out
+    detected = float(text.split("detected_period: ")[1].splitlines()[0])
+    assert detected == pytest.approx(TWO_PI, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_solve_pair_overflow_exits_1_with_one_error_line(tmp_path, capsys):
+    # the pair centre velocity 1e10 exp(400 t) overflows near t = 1.717
+    data = _basic_scenario()
+    data["variant"] = "pair"
+    data["beta"] = [[0.0]]
+    data["gamma"] = [[0.0]]
+    data["pair_params"] = {"Lambda": [400.0], "Omega": [0.0]}
+    data["initial"] = [[1.0, 1.0, 0.5e10 + 200.0, 0.0], [0.0, 1.0, 0.5e10 - 200.0, 0.0]]
+    data["integrator"] = {"t_span": [0.0, 2.0], "samples": 201}
+    path = _write_scenario(tmp_path, data)
+    rc = main(["solve", "--scenario", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ")
+
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["integrate", "classify"])
+def test_force_overflow_in_a_stage_prints_no_warning(tmp_path, capsys, command):
+    # a particle at radius 1e-72 moving at unit speed: the force kernel
+    # overflows in the first stages, and the integrator reports the
+    # non-finite derivative (classify reports no period)
+    data = _basic_scenario("tiny")
+    data["beta"] = [[0.0]]
+    data["gamma"] = [[0.0]]
+    data["initial"] = [[1e-72, 0.0, 1.0, 0.0]]
+    data["integrator"] = {"t_span": [0.0, 0.3], "samples": 2}
+    path = _write_scenario(tmp_path, data)
+    rc = main([command, "--scenario", path, "--out-dir", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    if command == "integrate":
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("ERROR OriginCollision: ")
+    else:
+        assert rc == 0 and lines == []
+
+# Random base, generalized and pair scenarios, bounded so that every run is
+# short: couplings within 30, |t_span| within 3, at most 60 samples.
+_COUPLING = st.floats(-30.0, 30.0, allow_nan=False) | st.just(0.0)
+_POSITION = st.floats(-3.0, 3.0, allow_nan=False)
+_VELOCITY = st.floats(-3.0, 3.0, allow_nan=False) | st.just(0.0)
+
+
+@st.composite
+def _scenarios(draw):
+    variant = draw(st.sampled_from(["base", "generalized", "pair"]))
+    n = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(_COUPLING, min_size=n, max_size=n), min_size=n, max_size=n)
+    row = st.tuples(_POSITION, _POSITION, _VELOCITY, _VELOCITY).map(list)
+    rows = 2 * n if variant == "pair" else n
+    data = {
+        "name": "fuzz",
+        "variant": variant,
+        "beta": draw(matrix),
+        "gamma": draw(matrix),
+        "initial": draw(st.lists(row, min_size=rows, max_size=rows)),
+        "integrator": {
+            "t_span": [0.0, draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0))],
+            "samples": draw(st.integers(2, 60)),
+        },
+    }
+    if variant == "generalized":
+        data["generalized_params"] = {"lambda": draw(_COUPLING), "omega": draw(_COUPLING)}
+    if variant == "pair":
+        rates = st.lists(_COUPLING, min_size=n, max_size=n)
+        data["pair_params"] = {"Lambda": draw(rates), "Omega": draw(rates)}
+    return data
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_scenarios(), st.sampled_from(["solve", "integrate", "compare", "classify"]))
+def test_cli_ends_in_a_result_or_one_error_line(data, command):
+    # any escaping exception (a traceback for the user) fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, "--scenario", path, "--out-dir", tmp])
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("ERROR ")

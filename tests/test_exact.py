@@ -36,7 +36,7 @@ from planebody import (
 from planebody.exact import CenterSolution, _reduced_phase
 from planebody.model import ComplexState, alpha_matrix
 
-from _util import random_couplings, random_state
+from _util import count_frozen_arrays, random_couplings, random_state
 
 
 def mp_phi1(x: complex) -> complex:
@@ -511,3 +511,98 @@ def test_velocity_overflow_raises_blowup():
         eval_z(sol, t)
     assert info.value.time == t
     assert "velocity overflows" in str(info.value)
+
+
+def test_exact_states_does_not_revalidate_per_sample(monkeypatch):
+    rng = np.random.default_rng(43)
+    sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+    calls = count_frozen_arrays(monkeypatch)
+    exact_states(sol, np.linspace(0.0, 2.0, 3))
+    small = len(calls)
+    exact_states(sol, np.linspace(0.0, 2.0, 8001))
+    assert len(calls) - small == small
+
+
+@pytest.mark.parametrize("g", [None, GeneralizedParams(0.0, 1.3), GeneralizedParams(0.2, 0.9)])
+def test_exact_states_are_read_only_and_equal_to_checked_states(g):
+    rng = np.random.default_rng(44)
+    sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+    for st in exact_states(sol, np.linspace(-1.0, 3.0, 41), g=g):
+        checked = PlaneState(st.positions, st.velocities)
+        for got, want in ((st.positions, checked.positions), (st.velocities, checked.velocities)):
+            assert not got.flags.writeable
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _pair_case(rng, n):
+    p = PairSpec(base=random_couplings(rng, n), lam=rng.standard_normal(n),
+                 omega=rng.standard_normal(n))
+    plus = random_state(rng, n)
+    minus = PlaneState(plus.positions + rng.standard_normal((n, 2)) + 2.0,
+                       0.5 * rng.standard_normal((n, 2)))
+    return p, PairState(plus=plus, minus=minus)
+
+
+def test_pair_grid_matches_per_sample_evaluation():
+    from planebody.exact import _pair_states
+
+    rng = np.random.default_rng(45)
+    p, s0 = _pair_case(rng, 3)
+    ps = pair_solve(p, s0)
+    times = np.linspace(-1.0, 3.0, 61)
+    states = _pair_states(ps, times)
+    assert len(states) == len(times)
+    for t, st in zip(times, states):
+        # the per-sample composition of the relative and centre parts
+        rel = eval_z(ps.relative, float(t))
+        zsum, zdotsum = eval_center(ps.center, float(t))
+        for fam, sign in ((st.plus, 1.0), (st.minus, -1.0)):
+            z = fam.positions[:, 0] + 1j * fam.positions[:, 1]
+            zdot = fam.velocities[:, 0] + 1j * fam.velocities[:, 1]
+            assert _max_rel(z, 0.5 * (zsum + sign * rel.z)) <= 1e-13
+            assert _max_rel(zdot, 0.5 * (zdotsum + sign * rel.zdot)) <= 1e-13
+            assert not fam.positions.flags.writeable and not fam.velocities.flags.writeable
+        one = eval_pair_solution(ps, float(t))
+        assert _max_rel(one.plus.positions, st.plus.positions) <= 1e-13
+        assert _max_rel(one.minus.velocities, st.minus.velocities) <= 1e-13
+
+
+def _collapsing_pair():
+    # the relative coordinate decays as exp(-40 t): the families coincide
+    # exactly near t = 1, long before the exponent leaves the range at t = 17.5
+    p = PairSpec(base=zero_couplings(1), lam=np.array([0.0]), omega=np.array([0.0]))
+    s0 = PairState(plus=PlaneState([[1.0, 1.0]], [[-20.0, 0.0]]),
+                   minus=PlaneState([[0.0, 1.0]], [[20.0, 0.0]]))
+    return pair_solve(p, s0)
+
+
+def test_pair_grid_exact_coincidence_raises_before_later_blowup():
+    from planebody.errors import PairCollisionError
+    from planebody.exact import _pair_states
+
+    ps = _collapsing_pair()
+    with pytest.raises(PairCollisionError):
+        eval_pair_solution(ps, 1.0)
+    with pytest.raises(PairCollisionError):
+        _pair_states(ps, np.linspace(0.0, 20.0, 201))
+    with pytest.raises(BlowupError):
+        eval_pair_solution(ps, 20.0)
+
+
+def test_pair_family_overflow_raises_blowup():
+    from planebody.exact import _pair_states
+
+    # both parts grow as exp(400 t); the centre velocity 1e10 exp(400 t)
+    # overflows near t = 1.717, before the relative exponent reaches 700
+    p = PairSpec(base=zero_couplings(1), lam=np.array([400.0]), omega=np.array([0.0]))
+    s0 = PairState(plus=PlaneState([[1.0, 1.0]], [[0.5e10 + 200.0, 0.0]]),
+                   minus=PlaneState([[0.0, 1.0]], [[0.5e10 - 200.0, 0.0]]))
+    ps = pair_solve(p, s0)
+    with pytest.raises(BlowupError) as info:
+        eval_pair_solution(ps, 1.72)
+    assert info.value.time == 1.72
+    with pytest.raises(BlowupError) as info:
+        _pair_states(ps, np.linspace(0.0, 2.0, 201))
+    assert 1.7 < info.value.time < 1.75
+    assert "plus/minus state overflows" in str(info.value)

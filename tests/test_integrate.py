@@ -30,7 +30,7 @@ from planebody import (
     zero_couplings,
 )
 
-from _util import random_couplings, random_state
+from _util import count_frozen_arrays, random_couplings, random_state
 
 
 def circle_setup():
@@ -242,3 +242,38 @@ def test_dense_output_between_steps():
     traj = integrate(lambda t, s: rhs_base(c, s), s0, cfg)
     want = np.stack([np.cos(traj.times), np.sin(traj.times)], axis=1)[:, None, :]
     assert np.max(np.abs(traj.positions - want)) < 1e-9
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_stages_are_not_revalidated(monkeypatch, pair):
+    rng = np.random.default_rng(56)
+    c = random_couplings(rng, 2)
+    if pair:
+        p = PairSpec(base=c, lam=np.array([0.2, -0.1]), omega=np.array([0.8, 1.4]))
+        plus = random_state(rng, 2)
+        s0 = PairState(plus=plus, minus=PlaneState(plus.positions + 2.0, plus.velocities))
+        rhs = lambda t, s: rhs_pair(p, s)
+    else:
+        s0 = random_state(rng, 2)
+        rhs = lambda t, s: rhs_base(c, s)
+    calls = count_frozen_arrays(monkeypatch)
+    counts = []
+    for t_end, rtol in ((0.5, 1e-9), (4.0, 1e-12)):
+        before = len(calls)
+        cfg = IntegratorConfig(t_span=(0.0, t_end), sample_count=201, rtol=rtol)
+        traj = integrate(rhs, s0, cfg)
+        counts.append((len(calls) - before, traj.metadata["stats"]["rhs_evaluations"]))
+    assert counts[1][1] > counts[0][1] + 400  # hundreds more stages ...
+    assert counts[1][0] == counts[0][0]  # ... and no more validated arrays
+
+
+def test_rhs_sees_read_only_stage_states():
+    c, s0 = circle_setup()
+    seen = []
+
+    def rhs(t, s):
+        seen.append(s.positions.flags.writeable or s.velocities.flags.writeable)
+        return rhs_base(c, s)
+
+    integrate(rhs, s0, IntegratorConfig(t_span=(0.0, 0.1), sample_count=3))
+    assert seen and not any(seen)
