@@ -302,10 +302,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # every route checks its results for overflow and NaN itself and
-        # reports them as one ERROR line; numpy's warnings would add more
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ScenarioError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2

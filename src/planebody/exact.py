@@ -341,7 +341,7 @@ def _center_grid(cs: CenterSolution, t: np.ndarray) -> tuple[np.ndarray, np.ndar
     mt = np.multiply.outer(cs.mu, t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _pair_states
         z = cs.z0[:, None] + cs.zdot0[:, None] * (t * phi1(mt))
-        zdot = cs.zdot0[:, None] * np.exp(mt)
+        zdot = cs.zdot0[:, None] * _cexp(mt)
     return z, zdot
 
 
@@ -382,7 +382,7 @@ def _pair_states(ps: PairSolution, times) -> list[PairState]:
     the error is the one of the first failing sample: the relative part's
     blow-up (as in _eval_grid), then an overflow of the families
     (BlowupError), then an exact plus/minus coincidence
-    (PairCollisionError, raised by PairState._checked).
+    (PairCollisionError, raised by the PairState constructor).
     """
     t = np.asarray(times, dtype=np.float64)
     exponent, rel, reldot = _grid_values(ps.relative, t)
@@ -395,7 +395,7 @@ def _pair_states(ps: PairSolution, times) -> list[PairState]:
     stop = min(bad, finite.size if finite.all() else int(np.argmin(finite)))
     pp, pv, mp, mv = [np.stack([f.real.T, f.imag.T], axis=2) for f in families]
     states = [
-        PairState._checked(PlaneState._checked(pp[i], pv[i]), PlaneState._checked(mp[i], mv[i]))
+        PairState(plus=PlaneState._checked(pp[i], pv[i]), minus=PlaneState._checked(mp[i], mv[i]))
         for i in range(stop)
     ]
     if stop < bad:

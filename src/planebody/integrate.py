@@ -181,9 +181,9 @@ class _PairPacker:
     def unpack(self, y: np.ndarray) -> PairState:
         n = self.n
         k = 2 * n
-        return PairState._checked(
-            PlaneState._checked(y[:k].reshape(n, 2), y[2 * k:3 * k].reshape(n, 2)),
-            PlaneState._checked(y[k:2 * k].reshape(n, 2), y[3 * k:].reshape(n, 2)),
+        return PairState(
+            plus=PlaneState._checked(y[:k].reshape(n, 2), y[2 * k:3 * k].reshape(n, 2)),
+            minus=PlaneState._checked(y[k:2 * k].reshape(n, 2), y[3 * k:].reshape(n, 2)),
         )
 
     def guard_positions(self, y: np.ndarray) -> np.ndarray:
@@ -250,6 +250,10 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     check_origin_guard_traj(packer, y, t0)
 
     def deriv(t, yv):
+        # checks both the stage vector and its derivative, so callers run it
+        # under np.errstate: numpy's warnings would repeat these checks
+        if not np.isfinite(yv).all():
+            raise _GuardTrip(t, ValueError("non-finite stage state"))
         try:
             d = packer.derivative(rhs, t, yv)
         except (OriginError, PairCollisionError) as exc:
@@ -280,10 +284,11 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
             h = t1 - t
         k[0] = f
         try:
-            for i in range(1, 7):
-                yi = y + h * (_DP_A[i] @ k[:i])
-                k[i] = deriv(t + _DP_C[i] * h, yi)
-                nfev += 1
+            with np.errstate(all="ignore"):  # checked by deriv
+                for i in range(1, 7):
+                    yi = y + h * (_DP_A[i] @ k[:i])
+                    k[i] = deriv(t + _DP_C[i] * h, yi)
+                    nfev += 1
         except _GuardTrip as trip:
             nreject += 1
             h *= 0.5
@@ -299,8 +304,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
         if err <= 1.0:
-            # stages are not re-checked, so a NaN must fail this test too
-            if not float(np.max(np.abs(y_new))) <= OVERFLOW_LIMIT:
+            if float(np.max(np.abs(y_new))) > OVERFLOW_LIMIT:
                 raise BlowupError(
                     f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} near t = {t + h:.6g}",
                     time=float(t + h),
@@ -346,7 +350,8 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
 
 def _first_derivative(deriv, t0, y):
     try:
-        return deriv(t0, y)
+        with np.errstate(all="ignore"):  # checked by deriv
+            return deriv(t0, y)
     except _GuardTrip as trip:
         raise OriginCollisionError(
             f"initial state is inside the singularity guard ({trip.cause})", time=t0

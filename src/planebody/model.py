@@ -87,8 +87,10 @@ class PlaneState:
         has checked every z and z';
       - the pair grid (`exact._pair_states`), after the same check and
         a finiteness check of the centre part;
-      - the integrator's stages (`integrate`), whose inputs are built from
-        finite, guarded states and isfinite-checked derivatives.
+      - the integrator's stages (`integrate`), whose stage vectors are
+        isfinite-checked before they are wrapped.
+    Pairs of such states go through the PairState constructor, which
+    keeps its exact-coincidence check.
     """
 
     positions: np.ndarray
@@ -194,27 +196,12 @@ class PairState:
             raise ValueError(
                 f"family sizes differ: plus has {self.plus.n}, minus has {self.minus.n}"
             )
-        _check_no_coincidence(self.plus.positions, self.minus.positions)
-
-    @classmethod
-    def _checked(cls, plus: PlaneState, minus: PlaneState) -> "PairState":
-        """Pair two checked families of one size without the type and size
-        checks; the exact-coincidence check stays, because no earlier check
-        covers it.  Callers are those of `PlaneState._checked`."""
-        _check_no_coincidence(plus.positions, minus.positions)
-        s = object.__new__(cls)
-        object.__setattr__(s, "plus", plus)
-        object.__setattr__(s, "minus", minus)
-        return s
+        if np.any(np.all(self.plus.positions == self.minus.positions, axis=1)):
+            raise PairCollisionError("a plus/minus pair coincides exactly")
 
     @property
     def n(self) -> int:
         return self.plus.n
-
-
-def _check_no_coincidence(plus: np.ndarray, minus: np.ndarray) -> None:
-    if np.any(np.all(plus == minus, axis=1)):
-        raise PairCollisionError("a plus/minus pair coincides exactly")
 
 
 def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> None:

@@ -277,3 +277,20 @@ def test_rhs_sees_read_only_stage_states():
 
     integrate(rhs, s0, IntegratorConfig(t_span=(0.0, 0.1), sample_count=3))
     assert seen and not any(seen)
+
+
+@pytest.mark.filterwarnings("error")  # the stage check reports the overflow
+def test_overflowing_stage_never_reaches_rhs():
+    # every derivative row is finite, but the third stage's combination of
+    # them is not: 56/15 * 1e308 is past the float64 range at any step size
+    _, s0 = circle_setup()
+    seen = []
+
+    def rhs(t, s):
+        seen.append(bool(np.isfinite(s.positions).all() and np.isfinite(s.velocities).all()))
+        return np.full((s.n, 2), 1e308)
+
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), sample_count=2, h_init=0.5)
+    with pytest.raises(OriginCollisionError, match="non-finite stage state"):
+        integrate(rhs, s0, cfg)
+    assert seen and all(seen)
