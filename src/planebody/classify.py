@@ -20,7 +20,7 @@ interpolated trajectory and its shifted copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .errors import InsufficientSpanError
 from .exact import row_sums_zero
-from .integrate import Trajectory
+from .integrate import Trajectory, _hermite
 from .model import CouplingSpec, alpha_matrix
 
 MAX_FREQUENCY_MULTIPLE = 64
@@ -92,16 +92,7 @@ def classify(eigenvalues, tol: float | None = None) -> MotionClass:
 def classify_couplings(c: CouplingSpec, tol: float | None = None) -> MotionClass:
     """Classify a coupling matrix, filling the row-sum flag as well."""
     w = linalg.eigenvalues(alpha_matrix(c))
-    base = classify(w, tol)
-    return MotionClass(
-        all_damped=base.all_damped,
-        has_imaginary=base.has_imaginary,
-        all_imaginary=base.all_imaginary,
-        completely_periodic=base.completely_periodic,
-        has_zero_mode=base.has_zero_mode,
-        has_unstable=base.has_unstable,
-        row_sums_zero=row_sums_zero(c),
-    )
+    return replace(classify(w, tol), row_sums_zero=row_sums_zero(c))
 
 
 def rational_period(frequencies, tol: float = 1e-9) -> float | None:
@@ -189,16 +180,10 @@ class _StateInterpolant:
         """
         j = min(math.floor(shift), self.m - 1 - count)
         theta = shift - j
-        t2 = theta * theta
-        t3 = t2 * theta
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = (t3 - 2.0 * t2 + theta) * self.dt
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = (t3 - t2) * self.dt
         a = slice(j, j + count)
         b = slice(j + 1, j + 1 + count)
-        p = h00 * self.pos[a] + h10 * self.vel[a] + h01 * self.pos[b] + h11 * self.vel[b]
-        v = h00 * self.vel[a] + h10 * self.acc[a] + h01 * self.vel[b] + h11 * self.acc[b]
+        p = _hermite(self.pos[a], self.vel[a], self.pos[b], self.vel[b], self.dt, theta)
+        v = _hermite(self.vel[a], self.acc[a], self.vel[b], self.acc[b], self.dt, theta)
         return np.concatenate([p, v], axis=1)
 
 

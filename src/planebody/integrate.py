@@ -134,9 +134,6 @@ class Trajectory:
             minus=PlaneState(self.positions[i, n:], self.velocities[i, n:]),
         )
 
-    def states(self) -> list:
-        return [self.state_at(i) for i in range(len(self.times))]
-
 
 class _PlanePacker:
     pair = False

@@ -5,11 +5,19 @@ velocity-dependent forces.  Writing each position as a complex number
 z_j = x_j + i y_j, the acceleration is
 
     z''_j = z'_j^2 / z_j + sum_k alpha_jk z_j z'_k / z_k,
-    alpha_jk = beta_jk + i gamma_jk,
+    alpha_jk = beta_jk + i gamma_jk.
 
-and the real two-vector form of the same law is what rhs_base
-evaluates.  Multiplication by i corresponds to the quarter-turn map
-perp(x, y) = (-y, x), which is how the gamma couplings act on vectors.
+The first term is the one-body force (quadratic in the particle's own
+velocity, nonlinear in its coordinate); the sum is the pair force (linear
+in z_j and in z'_k, nonlinear in z_k).  On plane vectors r_j, v_j, with
+perp(x, y) = (-y, x) standing for multiplication by i, the same law is
+
+    f_k = z'_k / z_k = (v_k . r_k + i r_k x v_k) / |r_k|^2,
+    g_j + i h_j = sum_k alpha_jk f_k,
+    a_j = Re f_j v_j + Im f_j perp(v_j) + g_j r_j + h_j perp(r_j),
+
+one-body force first, pair force second.  rhs_base evaluates this form
+in real arithmetic; rhs_complex evaluates the complex one independently.
 
 All evaluators are pure functions of immutable inputs.
 """
@@ -237,28 +245,21 @@ def from_complex(c: ComplexState) -> PlaneState:
     )
 
 
-def _pair_interaction(beta, gamma, r, v, r2):
-    """Accelerations of the base law for positions r and velocities v.
-
-    r2 holds the squared radii |r_k|^2, which the caller's origin guard
-    has already computed.  Divisions by them happen before the outer
-    products so huge but representable states do not overflow in
-    intermediates.
-    """
-    vr = np.sum(v * r, axis=1) / r2
-    vv = np.sum(v * v, axis=1) / r2
-    one_body = 2.0 * v * vr[:, None] - r * vv[:, None]
-    # t[k, j] = (v_k (r_k.r_j) + r_j (v_k.r_k) - r_k (v_k.r_j)) / |r_k|^2
-    rr = (r / r2[:, None]) @ r.T
-    vrj = (v / r2[:, None]) @ r.T
-    t = (
-        v[:, None, :] * rr[:, :, None]
-        + r[None, :, :] * vr[:, None, None]
-        - r[:, None, :] * vrj[:, :, None]
-    )
-    acc = one_body
-    acc = acc + np.einsum("jk,kjd->jd", beta, t)
-    acc = acc + np.einsum("jk,kjd->jd", gamma, perp(t))
+def _accelerations(beta, gamma, r, v, error=OriginError) -> np.ndarray:
+    """Base-law accelerations for positions r and velocities v: the scalar
+    form of the module docstring, written out per component.  The origin
+    guard shares the squared radii and raises `error`."""
+    x, y = r[:, 0], r[:, 1]
+    vx, vy = v[:, 0], v[:, 1]
+    r2 = x * x + y * y
+    check_origin_guard(r, error, r2=r2)
+    f_re = (x * vx + y * vy) / r2
+    f_im = (x * vy - y * vx) / r2
+    g = beta @ f_re - gamma @ f_im
+    h = gamma @ f_re + beta @ f_im
+    acc = np.empty_like(r)
+    acc[:, 0] = f_re * vx - f_im * vy + g * x - h * y
+    acc[:, 1] = f_re * vy + f_im * vx + g * y + h * x
     return acc
 
 
@@ -266,9 +267,7 @@ def rhs_base(c: CouplingSpec, s: PlaneState) -> np.ndarray:
     """Accelerations (n, 2) of the autonomous model, in real arithmetic."""
     if c.n != s.n:
         raise ValueError(f"coupling size {c.n} does not match state size {s.n}")
-    r2 = np.sum(s.positions * s.positions, axis=1)
-    check_origin_guard(s.positions, r2=r2)
-    return _pair_interaction(c.beta, c.gamma, s.positions, s.velocities, r2)
+    return _accelerations(c.beta, c.gamma, s.positions, s.velocities)
 
 
 def rhs_complex(c: CouplingSpec, s: ComplexState) -> np.ndarray:
@@ -298,10 +297,7 @@ def rhs_generalized(c: CouplingSpec, g: GeneralizedParams, t: float, s: PlaneSta
         return rhs_base(c, s)
     if c.n != s.n:
         raise ValueError(f"coupling size {c.n} does not match state size {s.n}")
-    r2 = np.sum(s.positions * s.positions, axis=1)
-    check_origin_guard(s.positions, r2=r2)
-    beta_t, gamma_t = couplings_at(c, g, t)
-    acc = _pair_interaction(beta_t, gamma_t, s.positions, s.velocities, r2)
+    acc = _accelerations(*couplings_at(c, g, t), s.positions, s.velocities)
     return acc + g.lam * s.velocities + g.omega * perp(s.velocities)
 
 
@@ -315,9 +311,7 @@ def rhs_pair(p: PairSpec, s: PairState) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"coupling size {p.n} does not match state size {s.n}")
     r = s.plus.positions - s.minus.positions
     v = s.plus.velocities - s.minus.velocities
-    r2 = np.sum(r * r, axis=1)
-    check_origin_guard(r, error=PairCollisionError, r2=r2)
+    interaction = _accelerations(p.base.beta, p.base.gamma, r, v, PairCollisionError)
     rdot_sum = s.plus.velocities + s.minus.velocities
     center = p.lam[:, None] * rdot_sum + p.omega[:, None] * perp(rdot_sum)
-    interaction = _pair_interaction(p.base.beta, p.base.gamma, r, v, r2)
     return 0.5 * (center + interaction), 0.5 * (center - interaction)

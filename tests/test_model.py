@@ -223,3 +223,63 @@ def test_size_mismatch_rejected():
         rhs_base(c, s)
     with pytest.raises(ValueError):
         rhs_generalized(c, GeneralizedParams(1.0, 0.0), 0.0, s)
+
+
+def _rotate(a, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return a @ np.array([[c, s], [-s, c]])
+
+
+def _rel_dev(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_force_law_rotation_invariant():
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        angle = float(rng.uniform(0.0, 2.0 * np.pi))
+        c = random_couplings(rng, n)
+        s = random_state(rng, n)
+        turned = PlaneState(_rotate(s.positions, angle), _rotate(s.velocities, angle))
+        assert _rel_dev(rhs_base(c, turned), _rotate(rhs_base(c, s), angle)) < 1e-12
+        g = GeneralizedParams(lam=float(rng.normal()) * 0.5, omega=float(rng.normal()))
+        t = float(rng.uniform(-2.0, 2.0))
+        assert _rel_dev(
+            rhs_generalized(c, g, t, turned), _rotate(rhs_generalized(c, g, t, s), angle)
+        ) < 1e-12
+        p = PairSpec(base=c, lam=rng.standard_normal(n), omega=rng.standard_normal(n))
+        sm = PlaneState(s.positions + rng.standard_normal((n, 2)) + 3.0,
+                        rng.standard_normal((n, 2)))
+        pair = PairState(plus=s, minus=sm)
+        pair_turned = PairState(
+            plus=turned,
+            minus=PlaneState(_rotate(sm.positions, angle), _rotate(sm.velocities, angle)),
+        )
+        for acc_turned, acc in zip(rhs_pair(p, pair_turned), rhs_pair(p, pair)):
+            assert _rel_dev(acc_turned, _rotate(acc, angle)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_rhs_base_homogeneous_of_degree_one(scale):
+    # huge and tiny but representable states stay finite in every intermediate
+    rng = np.random.default_rng(28)
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        c = random_couplings(rng, n)
+        s = random_state(rng, n)
+        scaled = rhs_base(c, PlaneState(scale * s.positions, scale * s.velocities))
+        assert np.all(np.isfinite(scaled))
+        assert _rel_dev(scaled, scale * rhs_base(c, s)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_rhs_base_matches_complex_law_many_particles(n):
+    rng = np.random.default_rng(29 + n)
+    for _ in range(5):
+        c = random_couplings(rng, n)
+        s = random_state(rng, n)
+        real = rhs_base(c, s)
+        assert _rel_dev(real, complex_acc(c, s)) < 1e-12
+        acc = rhs_complex(c, to_complex(s))
+        assert _rel_dev(real, np.stack([acc.real, acc.imag], axis=1)) < 1e-12
