@@ -15,7 +15,9 @@ A purely imaginary spectrum seeds its candidate period; without one,
 the candidates are the local minima of the mean squared state distance
 over all lags, built in O(m log m) from one FFT autocorrelation.  Each
 candidate is refined and accepted by the mean distance between the
-interpolated trajectory and its shifted copy.
+trajectory and its copy shifted by a fraction of a sample, Hermite-
+interpolated; the distance is formed from cached differences of the
+samples, so refining subtracts no nearly equal states.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import InsufficientSpanError
 from .exact import row_sums_zero
-from .integrate import Trajectory, _hermite
+from .integrate import Trajectory
 from .model import CouplingSpec, alpha_matrix
 
 MAX_FREQUENCY_MULTIPLE = 64
@@ -155,36 +157,59 @@ def _fd_acceleration(vel: np.ndarray, dt: float) -> np.ndarray:
     return acc
 
 
-class _StateInterpolant:
-    """C1 interpolation of a sampled trajectory on a uniform grid.
+class _ShiftDistance:
+    """Mean distance |s(t_i + shift * dt) - s(t_i)| over the samples i < count.
 
-    Positions use Hermite data (positions, velocities); velocities use
-    Hermite data (velocities, finite-difference accelerations), so the
-    interpolation error is O(dt^4) throughout.
+    y holds the sampled states (m, d), positions before velocities, on a
+    grid of spacing dt.  The shifted states are cubic Hermite interpolants
+    with derivatives ydot: the velocities for the positions, fourth-order
+    finite differences of the velocities for the velocities.  All
+    points share one fractional offset theta, so the weights are scalars,
+    and since the two value weights sum to one, the distance is
+
+        h00 (y[j:j+c] - base) + h01 (y[j+1:j+1+c] - base)
+            + h10 dt ydot[j:j+c] + h11 dt ydot[j+1:j+1+c],   base = y[:c],
+
+    which subtracts no nearly equal O(1) states.  Near the end of the
+    grid the slices stay in range and extrapolate instead.  `offsets`
+    caches the differences y[k:k+c] - base by k; a search on a bracket
+    of two samples reads at most four of them, so the caller clears it
+    between brackets.  The sum is formed in two preallocated (c, d)
+    buffers: fresh temporaries doubled the cost of an evaluation at
+    m = 8001.
     """
 
-    def __init__(self, traj: Trajectory):
-        m = len(traj.times)
-        self.dt = float(traj.times[1] - traj.times[0])
-        self.pos = traj.positions.reshape(m, -1)
-        self.vel = traj.velocities.reshape(m, -1)
-        self.acc = _fd_acceleration(self.vel, self.dt)
-        self.m = m
+    def __init__(self, y: np.ndarray, dt: float, count: int):
+        vel = y[:, y.shape[1] // 2:]
+        self.y = y
+        self.ydot = np.concatenate([vel, _fd_acceleration(vel, dt)], axis=1)
+        self.dt = dt
+        self.count = count
+        self.offsets: dict[int, np.ndarray] = {}
+        self._sum = np.empty((count, y.shape[1]))
+        self._term = np.empty_like(self._sum)
 
-    def shifted(self, shift: float, count: int) -> np.ndarray:
-        """States at the grid times t_i + shift * dt for i < count.
+    def _offset(self, k: int) -> np.ndarray:
+        d = self.offsets.get(k)
+        if d is None:
+            d = self.offsets[k] = self.y[k:k + self.count] - self.y[:self.count]
+        return d
 
-        All points share one fractional offset, so the Hermite weights
-        are scalars and the data are contiguous slices.  Near the end of
-        the grid the slice stays in range and extrapolates instead.
-        """
-        j = min(math.floor(shift), self.m - 1 - count)
+    def __call__(self, shift: float) -> float:
+        c = self.count
+        j = min(math.floor(shift), self.y.shape[0] - 1 - c)
         theta = shift - j
-        a = slice(j, j + count)
-        b = slice(j + 1, j + 1 + count)
-        p = _hermite(self.pos[a], self.vel[a], self.pos[b], self.vel[b], self.dt, theta)
-        v = _hermite(self.vel[a], self.acc[a], self.vel[b], self.acc[b], self.dt, theta)
-        return np.concatenate([p, v], axis=1)
+        t2 = theta * theta
+        t3 = t2 * theta
+        d, term = self._sum, self._term
+        np.multiply(self._offset(j), 2.0 * t3 - 3.0 * t2 + 1.0, out=d)
+        for x, w in (
+            (self._offset(j + 1), -2.0 * t3 + 3.0 * t2),
+            (self.ydot[j:j + c], (t3 - 2.0 * t2 + theta) * self.dt),
+            (self.ydot[j + 1:j + 1 + c], (t3 - t2) * self.dt),
+        ):
+            d += np.multiply(x, w, out=term)
+        return float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
 
 
 def _lag_profile(y: np.ndarray, kmax: int) -> np.ndarray:
@@ -234,8 +259,10 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
     the mean squared state distance at each lag up to half the span,
     built from one FFT autocorrelation; the profile is not computed
     when the spectrum seeds a candidate.  Each candidate is refined
-    continuously (golden section on the interpolated mean distance)
-    before the tolerance test.  Constant trajectories return None.
+    continuously (60 golden-section iterations, 62 evaluations of the
+    mean distance to the Hermite-interpolated shifted trajectory, on a
+    bracket of one sample either side) before the tolerance test.
+    Constant trajectories return None.
     Raises InsufficientSpanError when fewer than 3 samples are
     available or a spectrum-seeded candidate exceeds half the sampled
     span.
@@ -282,19 +309,17 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
         minima = (inner < lag[1 : kmax - 1]) & (inner <= lag[3 : kmax + 1])
         candidates = [k * dt for k in (np.flatnonzero(minima) + 2).tolist()]
 
-    interp = _StateInterpolant(traj)
-    count = max(1, m - kmax)
-    base_states = y[:count]
+    distance = _ShiftDistance(y, dt, max(1, m - kmax))
 
     def mean_distance(period: float) -> float:
-        d = interp.shifted(period / dt, count) - base_states
-        return float(np.mean(np.sqrt(np.sum(d * d, axis=1)))) / scale
+        return distance(period / dt) / scale
 
     for t_cand in sorted(candidates):
         lo = max(dt, t_cand - dt)
         hi = min(span / 2.0, t_cand + dt)
         if hi <= lo:
             continue
+        distance.offsets.clear()
         refined = _golden_minimize(mean_distance, lo, hi)
         if mean_distance(refined) <= tol:
             return refined

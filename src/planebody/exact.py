@@ -18,6 +18,7 @@ pair sums and for pure similarity motions round out the module.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .model import (
     PairSpec,
     PairState,
     PlaneState,
+    _StateGrid,
     alpha_matrix,
     perp,
     to_complex,
@@ -454,14 +456,16 @@ def row_sums_zero(c: CouplingSpec, tol: float | None = None) -> bool:
     return bool(np.max(sums) <= tol)
 
 
-def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None):
+def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Sequence[PlaneState]:
     """Real-coordinate states over a time grid (base or generalized model).
 
     The whole grid is evaluated as one (n, m) array expression; a
     blow-up anywhere on it raises for the first failing sample.  Having
-    checked every value there, the states are read-only views of two
-    (m, n, 2) arrays wrapped by PlaneState._checked, not copies checked
-    again one sample at a time.
+    checked every value there, the result is a read-only sequence backed
+    by the two frozen (m, n, 2) arrays: it makes no object per sample,
+    and a sample read from it is a read-only PlaneState view, not a copy
+    checked again.  trajectory_from_states takes the arrays from it
+    directly.
     """
     t = np.asarray(times, dtype=np.float64)
     if g is None or (g.lam == 0.0 and g.omega == 0.0):
@@ -470,4 +474,4 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
         z, zdot = _generalized_grid(sol, g, t)
     pos = np.stack([z.real.T, z.imag.T], axis=2)
     vel = np.stack([zdot.real.T, zdot.imag.T], axis=2)
-    return [PlaneState._checked(p, v) for p, v in zip(pos, vel)]
+    return _StateGrid(pos, vel)

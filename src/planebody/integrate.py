@@ -25,7 +25,7 @@ from .errors import (
     PairCollisionError,
     StepUnderflowError,
 )
-from .model import PairState, PlaneState, check_origin_guard
+from .model import PairState, PlaneState, _StateGrid, check_origin_guard
 
 OVERFLOW_LIMIT = 1e150
 
@@ -366,21 +366,28 @@ def check_origin_guard_traj(packer, y, t):
 
 
 def trajectory_from_states(times, states, pair: bool = False, metadata: dict | None = None) -> Trajectory:
-    """Assemble a Trajectory from per-sample PlaneState or PairState values."""
+    """Assemble a Trajectory from per-sample PlaneState or PairState values.
+
+    The grid sequence of exact_states hands over its (m, n, 2) arrays
+    as they are; any other sequence of states is stacked sample by sample.
+    """
     times = np.asarray(times, dtype=np.float64)
-    pos = []
-    vel = []
-    for s in states:
-        if pair:
-            pos.append(np.concatenate([s.plus.positions, s.minus.positions]))
-            vel.append(np.concatenate([s.plus.velocities, s.minus.velocities]))
-        else:
-            pos.append(s.positions)
-            vel.append(s.velocities)
+    if not pair and isinstance(states, _StateGrid):
+        pos, vel = states.positions, states.velocities
+    else:
+        pos = []
+        vel = []
+        for s in states:
+            if pair:
+                pos.append(np.concatenate([s.plus.positions, s.minus.positions]))
+                vel.append(np.concatenate([s.plus.velocities, s.minus.velocities]))
+            else:
+                pos.append(s.positions)
+                vel.append(s.velocities)
     return Trajectory(
         times=times,
-        positions=np.array(pos),
-        velocities=np.array(vel),
+        positions=pos,
+        velocities=vel,
         pair=pair,
         metadata=metadata or {},
     )

@@ -23,6 +23,7 @@ All evaluators are pure functions of immutable inputs.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,9 @@ class PlaneState:
     and parsed scenarios always go through it.  `_checked` stores arrays
     that are already known to be finite float64 of shape (n, 2), with no
     copy; its only callers are
-      - the closed-form grid (`exact.exact_states`), after `_eval_grid`
-        has checked every z and z';
+      - the closed-form grid (`_StateGrid`, returned by
+        `exact.exact_states` after `_eval_grid` has checked every z and
+        z'), one sample at a time as samples are read;
       - the pair grid (`exact._pair_states`), after the same check and
         a finiteness check of the centre part;
       - the integrator's stages (`integrate`), whose stage vectors are
@@ -127,6 +129,32 @@ class PlaneState:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
+
+
+class _StateGrid(Sequence):
+    """Read-only sequence of PlaneStates over two checked (m, n, 2) arrays.
+
+    Sample i is a PlaneState._checked view of positions[i] and
+    velocities[i], made when it is read, so a grid of m samples holds two
+    arrays rather than m objects.  Indexing, negative indices, slices
+    and iteration behave as on a list of those states.
+    """
+
+    __slots__ = ("positions", "velocities")
+
+    def __init__(self, positions: np.ndarray, velocities: np.ndarray):
+        positions.setflags(write=False)
+        velocities.setflags(write=False)
+        self.positions = positions
+        self.velocities = velocities
+
+    def __len__(self) -> int:
+        return self.positions.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _StateGrid(self.positions[i], self.velocities[i])
+        return PlaneState._checked(self.positions[i], self.velocities[i])
 
 
 @dataclass(frozen=True)

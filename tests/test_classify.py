@@ -18,7 +18,7 @@ from planebody import (
     to_complex,
     trajectory_from_states,
 )
-from planebody.classify import _flatten_states, _lag_profile
+from planebody.classify import _ShiftDistance, _fd_acceleration, _flatten_states, _lag_profile
 from planebody.model import PlaneState
 
 TWO_PI = 2.0 * math.pi
@@ -277,6 +277,43 @@ def test_lag_profile_matches_direct_sum(kind):
     got = _lag_profile(y, kmax)
     assert got.shape == (kmax + 1,)
     assert np.max(np.abs(got - _direct_lag_profile(y, kmax))) <= 1e-9 * scale
+
+
+def _direct_shift_distance(traj, shift, count):
+    """Mean |s(t_i + shift dt) - s(t_i)| over i < count: positions Hermite-
+    interpolated with velocities, velocities with FD accelerations, on the
+    interval [t_j, t_j+1], j = min(floor(shift), m - 1 - count)."""
+    m = len(traj.times)
+    dt = float(traj.times[1] - traj.times[0])
+    pos = traj.positions.reshape(m, -1)
+    vel = traj.velocities.reshape(m, -1)
+    acc = _fd_acceleration(vel, dt)
+    j = min(math.floor(shift), m - 1 - count)
+    th = shift - j
+    h00, h10 = 2 * th**3 - 3 * th**2 + 1, th**3 - 2 * th**2 + th
+    h01, h11 = -2 * th**3 + 3 * th**2, th**3 - th**2
+    a = np.arange(count) + j
+    p = h00 * pos[a] + h10 * dt * vel[a] + h01 * pos[a + 1] + h11 * dt * vel[a + 1]
+    v = h00 * vel[a] + h10 * dt * acc[a] + h01 * vel[a + 1] + h11 * dt * acc[a + 1]
+    d = np.concatenate([p - pos[:count], v - vel[:count]], axis=1)
+    return float(np.mean(np.linalg.norm(d, axis=1)))
+
+
+def test_shift_distance_matches_direct_hermite():
+    m = 401
+    traj = _periodic_closed_form(m)[0]
+    y = _flatten_states(traj)
+    dt = float(traj.times[1] - traj.times[0])
+    count = m - (m - 1) // 2
+    cached = _ShiftDistance(y, dt, count)
+    # fractional shifts inside the grid, an exact sample, and shifts past
+    # m - 1 - count = 199, where the last interval extrapolates
+    for shift in (0.37, 3.5, 57.0, 123.91, 198.999, 199.0, 199.62, 200.0):
+        got = cached(shift)
+        want = _direct_shift_distance(traj, shift, count)
+        assert abs(got - want) <= 1e-12 * want, shift
+        fresh = _ShiftDistance(y, dt, count)(shift)
+        assert np.float64(got).view(np.int64) == np.float64(fresh).view(np.int64)
 
 
 @pytest.mark.parametrize("seeded", [False, True])

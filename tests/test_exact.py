@@ -31,6 +31,7 @@ from planebody import (
     spectral_solve,
     tau_map,
     to_complex,
+    trajectory_from_states,
     zero_couplings,
 )
 from planebody.exact import CenterSolution, _reduced_phase
@@ -534,6 +535,43 @@ def test_exact_states_are_read_only_and_equal_to_checked_states(g):
             assert got.dtype == np.float64 and got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+
+
+def test_exact_states_sequence_acts_like_a_list():
+    rng = np.random.default_rng(45)
+    sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+    times = np.linspace(0.0, 2.0, 9)
+    states = exact_states(sol, times)
+    listed = list(states)
+    assert len(states) == len(listed) == 9
+    assert all(isinstance(st, PlaneState) for st in listed)
+
+    def same(a, b):
+        return np.array_equal(a.positions, b.positions) and np.array_equal(a.velocities, b.velocities)
+
+    assert same(states[-1], listed[8]) and same(states[-9], listed[0])
+    for part, want in ((states[2:7:2], listed[2:7:2]), (states[::-1], listed[::-1]), (states[5:], listed[5:])):
+        assert len(part) == len(want)
+        assert all(same(a, b) for a, b in zip(part, want))
+    for st in states[1:3]:
+        assert not st.positions.flags.writeable and not st.velocities.flags.writeable
+    with pytest.raises(IndexError):
+        states[9]
+    with pytest.raises(TypeError):
+        states[0] = listed[0]
+
+
+@pytest.mark.parametrize("g", [None, GeneralizedParams(0.0, 1.3), GeneralizedParams(0.2, 0.9)])
+def test_trajectory_from_exact_states_matches_per_sample_loop(g):
+    rng = np.random.default_rng(46)
+    sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+    times = np.linspace(-1.0, 3.0, 41)
+    states = exact_states(sol, times, g=g)
+    got = trajectory_from_states(times, states)
+    want = trajectory_from_states(times, list(states))  # stacked one sample at a time
+    for a, b in ((got.positions, want.positions), (got.velocities, want.velocities)):
+        assert a.shape == b.shape == (41, 3, 2)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 def _pair_case(rng, n):
     p = PairSpec(base=random_couplings(rng, n), lam=rng.standard_normal(n),
