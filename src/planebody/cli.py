@@ -29,7 +29,11 @@ from . import exact, linalg
 from .classify import classify, detect_period, rational_period
 from .errors import InsufficientSpanError, PlanebodyError, ScenarioError, ValidationError
 from .integrate import Trajectory, compare, integrate, trajectory_from_states
-from .model import alpha_matrix, rhs_base, rhs_generalized, rhs_pair, to_complex
+from .model import _PairForce, _PlaneForce, alpha_matrix, to_complex
+# Not called here any more: perfbench/tracing.py wraps these names on this
+# module, so they stay importable from it until the tracer follows the
+# stage forces above.
+from .model import rhs_base, rhs_generalized, rhs_pair  # noqa: F401
 from .scenario import Scenario, builtin_scenarios, parse_scenario
 
 _NUM = "{:.17g}".format
@@ -117,13 +121,15 @@ def _exact_trajectory(sc: Scenario) -> Trajectory:
 
 
 def _numeric_trajectory(sc: Scenario) -> Trajectory:
+    """Integrate sc with its built-in force law, which the integrator
+    evaluates on its stage vectors in place (no state object per stage)."""
     if sc.variant == "pair":
-        rhs = lambda t, s: rhs_pair(sc.pair, s)
+        force = _PairForce(sc.pair)
     elif sc.variant == "generalized":
-        rhs = lambda t, s: rhs_generalized(sc.couplings, sc.generalized, t, s)
+        force = _PlaneForce(sc.couplings, sc.generalized)
     else:
-        rhs = lambda t, s: rhs_base(sc.couplings, s)
-    return integrate(rhs, sc.initial, sc.integrator)
+        force = _PlaneForce(sc.couplings)
+    return integrate(force, sc.initial, sc.integrator)
 
 
 def _out_path(args, filename: str) -> str:
@@ -133,19 +139,20 @@ def _out_path(args, filename: str) -> str:
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Write t,x_1,y_1,vx_1,vy_1,... rows, one per sample, at full precision."""
+    m, p = traj.positions.shape[:2]
+    table = np.empty((m, 1 + 4 * p))
+    table[:, 0] = traj.times
+    body = table[:, 1:].reshape(m, p, 4)
+    body[:, :, 0:2] = traj.positions
+    body[:, :, 2:4] = traj.velocities
     cols = ["t"]
-    for j in range(traj.n_particles):
+    for j in range(p):
         cols += [f"x_{j + 1}", f"y_{j + 1}", f"vx_{j + 1}", f"vy_{j + 1}"]
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # the format of _NUM
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(len(traj.times)):
-            row = [_NUM(traj.times[i])]
-            for j in range(traj.n_particles):
-                row.append(_NUM(traj.positions[i, j, 0]))
-                row.append(_NUM(traj.positions[i, j, 1]))
-                row.append(_NUM(traj.velocities[i, j, 0]))
-                row.append(_NUM(traj.velocities[i, j, 1]))
-            fh.write(",".join(row) + "\n")
+        for values in table:  # row by row: no Python float for every cell at once
+            fh.write(row % tuple(values.tolist()))
 
 
 def read_trajectory_csv(path: str, pair: bool = False) -> Trajectory:

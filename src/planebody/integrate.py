@@ -9,6 +9,17 @@ never dominates the integration error.
 
 Guards: a relative origin guard (collision), a 1e150 magnitude bound
 (double-exponential blow-up) and a minimum step size (underflow).
+
+The state is packed into one float64 stage vector: every position, then
+every velocity, as (x, y) pairs, the plus family before the minus family
+for pairs.  A stage checks its vector for finiteness, copies the
+vector's velocity half into the first half of its derivative row and
+has the force law fill the second half in place, then checks those
+accelerations for finiteness.  The built-in force laws (`model._PlaneForce`
+and `model._PairForce`, which the CLI passes) do that on complex views of
+the two halves with no per-stage object; any other rhs(t, state) is
+called on read-only PlaneState or PairState views of the stage vector.
+Both go through the same stepping loop.
 """
 from __future__ import annotations
 
@@ -25,7 +36,7 @@ from .errors import (
     PairCollisionError,
     StepUnderflowError,
 )
-from .model import PairState, PlaneState, _StateGrid, check_origin_guard
+from .model import PairState, PlaneState, _PairForce, _PlaneForce, _StateGrid, check_origin_guard
 
 OVERFLOW_LIMIT = 1e150
 
@@ -152,10 +163,13 @@ class _PlanePacker:
     def guard_positions(self, y: np.ndarray) -> np.ndarray:
         return y[: 2 * self.n].reshape(self.n, 2)
 
-    def derivative(self, rhs, t: float, y: np.ndarray) -> np.ndarray:
-        state = self.unpack(y)
-        acc = np.asarray(rhs(t, state), dtype=np.float64)
-        return np.concatenate([state.velocities.ravel(), acc.ravel()])
+    def user_stage(self, rhs):
+        """stage(t, y, out) calling rhs(t, state) on a read-only view of y."""
+
+        def stage(t, y, out):
+            out[:] = np.asarray(rhs(t, self.unpack(y)), dtype=np.float64).reshape(out.shape)
+
+        return stage
 
 
 class _PairPacker:
@@ -188,17 +202,16 @@ class _PairPacker:
         k = 2 * n
         return (y[:k] - y[k:2 * k]).reshape(n, 2)
 
-    def derivative(self, rhs, t: float, y: np.ndarray) -> np.ndarray:
-        state = self.unpack(y)
-        acc_p, acc_m = rhs(t, state)
-        return np.concatenate(
-            [
-                state.plus.velocities.ravel(),
-                state.minus.velocities.ravel(),
-                np.asarray(acc_p, dtype=np.float64).ravel(),
-                np.asarray(acc_m, dtype=np.float64).ravel(),
-            ]
-        )
+    def user_stage(self, rhs):
+        """stage(t, y, out) calling rhs(t, state) on a read-only view of y."""
+        k = 2 * self.n
+
+        def stage(t, y, out):
+            acc_p, acc_m = rhs(t, self.unpack(y))
+            out[:k] = np.asarray(acc_p, dtype=np.float64).reshape(k)
+            out[k:] = np.asarray(acc_m, dtype=np.float64).reshape(k)
+
+        return stage
 
 
 class _GuardTrip(Exception):
@@ -226,7 +239,10 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     rhs : callable
         For a PlaneState start: rhs(t, state) -> (n, 2) accelerations.
         For a PairState start: rhs(t, state) -> (plus, minus) pair of
-        (n, 2) acceleration arrays.
+        (n, 2) acceleration arrays.  Each stage hands rhs a read-only
+        view of the stage vector.  The built-in force laws
+        (`model._PlaneForce`, `model._PairForce`) instead write their
+        accelerations straight into the stage derivative.
     s0 : PlaneState or PairState
         Initial condition at t_span[0].
     cfg : IntegratorConfig
@@ -237,6 +253,12 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     included; metadata carries step statistics and tolerances.
     """
     packer = _PairPacker(s0) if isinstance(s0, PairState) else _PlanePacker(s0)
+    if isinstance(rhs, (_PlaneForce, _PairForce)):
+        if rhs.pair != packer.pair or rhs.n != packer.n:
+            raise ValueError(f"the force law does not fit the initial state ({packer.n} particles)")
+        stage = rhs.stage
+    else:
+        stage = packer.user_stage(rhs)
     t0, t1 = cfg.t_span
     direction = 1.0 if t1 > t0 else -1.0
     m = cfg.sample_count
@@ -245,19 +267,24 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
 
     y = packer.pack(s0)
     check_origin_guard_traj(packer, y, t0)
+    # both packings hold every position before every velocity, so the
+    # velocity half of a derivative is the second half of its stage vector
+    half = y.size // 2
 
-    def deriv(t, yv):
-        # checks both the stage vector and its derivative, so callers run it
-        # under np.errstate: numpy's warnings would repeat these checks
+    def deriv(t, yv, dy):
+        """Write the derivative at stage vector yv into dy.  Checks yv and
+        the accelerations, so callers run it under np.errstate: numpy's
+        warnings would repeat these checks."""
         if not np.isfinite(yv).all():
             raise _GuardTrip(t, ValueError("non-finite stage state"))
+        dy[:half] = yv[half:]
+        acc = dy[half:]
         try:
-            d = packer.derivative(rhs, t, yv)
+            stage(t, yv, acc)
         except (OriginError, PairCollisionError) as exc:
             raise _GuardTrip(t, exc) from exc
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(acc).all():
             raise _GuardTrip(t, ValueError("non-finite derivative"))
-        return d
 
     out = np.empty((m, y.size))
     out[0] = y
@@ -266,10 +293,12 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     naccept = 0
     nreject = 0
     nfev = 1
-    f = _first_derivative(deriv, t0, y)
+    # k[0] holds the derivative at y: set here, then copied from k[6]
+    # (FSAL) at each accepted step; rejected attempts leave it alone
+    k = np.empty((7, y.size))
+    _first_derivative(deriv, t0, y, k[0])
     h = direction * min(cfg.h_init, h_max)
     t = t0
-    k = np.empty((7, y.size))
 
     while (t1 - t) * direction > 0.0:
         if abs(h) < cfg.h_min:
@@ -279,12 +308,11 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         last = abs(t1 - t) <= abs(h)
         if last:
             h = t1 - t
-        k[0] = f
         try:
             with np.errstate(all="ignore"):  # checked by deriv
                 for i in range(1, 7):
                     yi = y + h * (_DP_A[i] @ k[:i])
-                    k[i] = deriv(t + _DP_C[i] * h, yi)
+                    deriv(t + _DP_C[i] * h, yi, k[i])
                     nfev += 1
         except _GuardTrip as trip:
             nreject += 1
@@ -314,9 +342,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
                 next_sample += 1
             t = t_new
             y = y_new
-            # copy: k[6] is a row of the reused stage array and a rejected
-            # attempt would overwrite it before the next k[0] = f
-            f = k[6].copy()
+            k[0] = k[6]
             naccept += 1
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
@@ -328,9 +354,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         out[next_sample] = y
         next_sample += 1
 
-    # both packings hold every position before every velocity, and the
-    # pair packing puts the plus family first, as Trajectory stacks it
-    half = out.shape[1] // 2
+    # the pair packing puts the plus family first, as Trajectory stacks it
     return Trajectory(
         times=samples,
         positions=out[:, :half].reshape(m, -1, 2),
@@ -345,10 +369,10 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     )
 
 
-def _first_derivative(deriv, t0, y):
+def _first_derivative(deriv, t0, y, dy):
     try:
         with np.errstate(all="ignore"):  # checked by deriv
-            return deriv(t0, y)
+            deriv(t0, y, dy)
     except _GuardTrip as trip:
         raise OriginCollisionError(
             f"initial state is inside the singularity guard ({trip.cause})", time=t0

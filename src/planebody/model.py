@@ -9,20 +9,28 @@ z_j = x_j + i y_j, the acceleration is
 
 The first term is the one-body force (quadratic in the particle's own
 velocity, nonlinear in its coordinate); the sum is the pair force (linear
-in z_j and in z'_k, nonlinear in z_k).  On plane vectors r_j, v_j, with
-perp(x, y) = (-y, x) standing for multiplication by i, the same law is
+in z_j and in z'_k, nonlinear in z_k).
 
-    f_k = z'_k / z_k = (v_k . r_k + i r_k x v_k) / |r_k|^2,
-    g_j + i h_j = sum_k alpha_jk f_k,
-    a_j = Re f_j v_j + Im f_j perp(v_j) + g_j r_j + h_j perp(r_j),
+The evaluators compute this complex form directly.  An (n, 2) float64
+array of (x, y) pairs has the memory layout of n complex128 numbers, so
+`_accelerations` views positions and velocities as z and z' without
+copying and hands them to `_kernel`, which forms f = z'/z and
+z' f + z (alpha f) in a handful of array operations and one complex
+matrix-vector product, after the origin guard on the squared radii; the
+result is viewed back as (n, 2) floats.  rhs_base and rhs_generalized
+(couplings alpha e^{mu t}, plus mu z', mu = lam + i omega) call
+`_accelerations`; rhs_pair runs the kernel on the differences of its
+two families.  _PlaneForce and _PairForce run the same arithmetic on
+complex views of the integrator's packed stage vectors and write into
+the stage derivative in place.  rhs_complex stays an independent route:
+it takes a ComplexState, guards on |z| and shares no code with the
+kernel, so the tests cross-check the two.
 
-one-body force first, pair force second.  rhs_base evaluates this form
-in real arithmetic; rhs_complex evaluates the complex one independently.
-
-All evaluators are pure functions of immutable inputs.
+The rhs_* evaluators are pure functions of immutable inputs.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,6 +39,7 @@ import numpy as np
 from .errors import OriginError, PairCollisionError
 
 ORIGIN_GUARD_RATIO = 1e-12
+_GUARD_RATIO2 = ORIGIN_GUARD_RATIO ** 2
 
 
 def perp(v: np.ndarray) -> np.ndarray:
@@ -242,18 +251,26 @@ class PairState:
 
 def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> None:
     """Reject states with a particle within 1e-12 of the origin, relative
-    to the largest particle radius at the same instant.  r2, when given,
-    holds the squared radii the caller already computed."""
+    to the largest particle radius at the same instant.
+
+    r2, when given, holds the squared radii the caller already computed
+    (positions is then not read).  The test is min r2 < RATIO**2 * max r2,
+    with square roots taken only to format the error, which reports the
+    radius and the scale.  It decides as min r < RATIO * max r does while
+    RATIO**2 * max r2 is a normal float, that is for scales max r above
+    about 1.5e-142.  Below that the threshold is subnormal and keeps fewer
+    significant bits, so only radius ratios within that rounding of 1e-12
+    may be decided differently; where it underflows to zero (max r below
+    about 1.6e-150) only a radius whose square is exactly zero trips.
+    """
     if r2 is None:
-        r2 = np.sum(positions * positions, axis=1)
-    radii = np.sqrt(r2)
-    rmin = float(np.min(radii))
-    rmax = float(np.max(radii))
-    if rmin == 0.0 or rmin < ORIGIN_GUARD_RATIO * rmax:
-        j = int(np.argmin(radii))
+        r2 = (positions * positions).sum(axis=1)
+    r2min = r2.min()
+    if r2min == 0.0 or r2min < _GUARD_RATIO2 * r2.max():
+        j = int(np.argmin(r2))
         raise error(
-            f"particle {j + 1} radius {rmin:.3e} is inside the origin guard "
-            f"(scale {rmax:.3e})"
+            f"particle {j + 1} radius {math.sqrt(r2min):.3e} is inside the origin guard "
+            f"(scale {math.sqrt(r2.max()):.3e})"
         )
 
 
@@ -273,29 +290,61 @@ def from_complex(c: ComplexState) -> PlaneState:
     )
 
 
-def _accelerations(beta, gamma, r, v, error=OriginError) -> np.ndarray:
-    """Base-law accelerations for positions r and velocities v: the scalar
-    form of the module docstring, written out per component.  The origin
-    guard shares the squared radii and raises `error`."""
-    x, y = r[:, 0], r[:, 1]
-    vx, vy = v[:, 0], v[:, 1]
-    r2 = x * x + y * y
-    check_origin_guard(r, error, r2=r2)
-    f_re = (x * vx + y * vy) / r2
-    f_im = (x * vy - y * vx) / r2
-    g = beta @ f_re - gamma @ f_im
-    h = gamma @ f_re + beta @ f_im
-    acc = np.empty_like(r)
-    acc[:, 0] = f_re * vx - f_im * vy + g * x - h * y
-    acc[:, 1] = f_re * vy + f_im * vx + g * y + h * x
+def _complex_view(a: np.ndarray) -> np.ndarray:
+    """The n numbers x + iy of an (n, 2) float64 array: a view, or a view of
+    a C-contiguous copy when a's rows are not adjacent pairs in memory."""
+    return np.ascontiguousarray(a).view(np.complex128)[:, 0]
+
+
+def _plane_view(z: np.ndarray) -> np.ndarray:
+    """The (n, 2) float64 view of a contiguous complex128 n-vector."""
+    return z.view(np.float64).reshape(-1, 2)
+
+
+def _kernel(alpha, z, zdot, error=OriginError, mu=0.0, out=None) -> np.ndarray:
+    """The law z'' = z' f + z (alpha f) + mu z', f = z'/z, on complex
+    n-vectors: a handful of array operations and one matrix-vector
+    product.  mu is the uniform velocity coupling lam + i omega of the
+    generalized model.  The origin guard runs first, on the squared
+    radii, and raises `error`.  The result is written into out when given."""
+    check_origin_guard(None, error, r2=(z * z.conj()).real)
+    f = zdot / z
+    acc = np.add(zdot * f, z * (alpha @ f), out=out)
+    if mu:
+        acc += mu * zdot
     return acc
 
 
+def _accelerations(alpha, r, v, error=OriginError, mu=0.0) -> np.ndarray:
+    """The kernel on (n, 2) float64 positions r and velocities v, viewed as
+    complex128 (copied only when their rows are not contiguous pairs);
+    returns the (n, 2) float64 view of the complex accelerations."""
+    return _plane_view(_kernel(alpha, _complex_view(r), _complex_view(v), error, mu))
+
+
+def _rotated(alpha: np.ndarray, mu: complex, t: float) -> np.ndarray:
+    """Couplings alpha e^{mu t} of the generalized model at time t."""
+    return alpha * np.exp(mu * t) if mu else alpha
+
+
+def _pair_kernel(alpha, mu, zp, zm, vp, vm, out_p=None, out_m=None):
+    """(plus, minus) complex accelerations of the pair model: mu_j =
+    lam_j + i omega_j drives the sums, the base law the differences (see
+    rhs_pair).  Results are written into out_p and out_m when given."""
+    interaction = _kernel(alpha, zp - zm, vp - vm, PairCollisionError)
+    center = mu * (vp + vm)
+    plus = np.add(center, interaction, out=out_p)
+    plus *= 0.5
+    minus = np.subtract(center, interaction, out=out_m)
+    minus *= 0.5
+    return plus, minus
+
+
 def rhs_base(c: CouplingSpec, s: PlaneState) -> np.ndarray:
-    """Accelerations (n, 2) of the autonomous model, in real arithmetic."""
+    """Accelerations (n, 2) of the autonomous model."""
     if c.n != s.n:
         raise ValueError(f"coupling size {c.n} does not match state size {s.n}")
-    return _accelerations(c.beta, c.gamma, s.positions, s.velocities)
+    return _accelerations(alpha_matrix(c), s.positions, s.velocities)
 
 
 def rhs_complex(c: CouplingSpec, s: ComplexState) -> np.ndarray:
@@ -310,7 +359,8 @@ def rhs_complex(c: CouplingSpec, s: ComplexState) -> np.ndarray:
 
 
 def couplings_at(c: CouplingSpec, g: GeneralizedParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating, exponentially scaled couplings of the generalized model."""
+    """Rotating, exponentially scaled couplings of the generalized model:
+    the real and imaginary parts of alpha e^{(lam + i omega) t}."""
     cw = np.cos(g.omega * t)
     sw = np.sin(g.omega * t)
     el = np.exp(g.lam * t)
@@ -320,13 +370,12 @@ def couplings_at(c: CouplingSpec, g: GeneralizedParams, t: float) -> tuple[np.nd
 
 
 def rhs_generalized(c: CouplingSpec, g: GeneralizedParams, t: float, s: PlaneState) -> np.ndarray:
-    """Accelerations of the generalized model with uniform velocity coupling."""
-    if g.lam == 0.0 and g.omega == 0.0:
-        return rhs_base(c, s)
+    """Accelerations of the generalized model with uniform velocity coupling:
+    the base law with couplings alpha e^{mu t}, plus mu z', mu = lam + i omega."""
     if c.n != s.n:
         raise ValueError(f"coupling size {c.n} does not match state size {s.n}")
-    acc = _accelerations(*couplings_at(c, g, t), s.positions, s.velocities)
-    return acc + g.lam * s.velocities + g.omega * perp(s.velocities)
+    mu = complex(g.lam, g.omega)
+    return _accelerations(_rotated(alpha_matrix(c), mu, t), s.positions, s.velocities, mu=mu)
 
 
 def rhs_pair(p: PairSpec, s: PairState) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +386,54 @@ def rhs_pair(p: PairSpec, s: PairState) -> tuple[np.ndarray, np.ndarray]:
     """
     if p.n != s.n:
         raise ValueError(f"coupling size {p.n} does not match state size {s.n}")
-    r = s.plus.positions - s.minus.positions
-    v = s.plus.velocities - s.minus.velocities
-    interaction = _accelerations(p.base.beta, p.base.gamma, r, v, PairCollisionError)
-    rdot_sum = s.plus.velocities + s.minus.velocities
-    center = p.lam[:, None] * rdot_sum + p.omega[:, None] * perp(rdot_sum)
-    return 0.5 * (center + interaction), 0.5 * (center - interaction)
+    plus, minus = _pair_kernel(
+        alpha_matrix(p.base),
+        p.lam + 1j * p.omega,
+        _complex_view(s.plus.positions),
+        _complex_view(s.minus.positions),
+        _complex_view(s.plus.velocities),
+        _complex_view(s.minus.velocities),
+    )
+    return _plane_view(plus), _plane_view(minus)
+
+
+class _PlaneForce:
+    """The base or generalized law on the integrator's packed stage vectors.
+
+    `integrate` recognises this type and calls stage(t, y, out) with a
+    stage vector y (every position, then every velocity, as (x, y)
+    pairs) and out, the acceleration half of the derivative, which the
+    kernel fills in place, on complex views of both: no state object per
+    stage.  The arithmetic is that of rhs_base and rhs_generalized, so
+    both routes give identical numbers.
+    """
+
+    pair = False
+
+    def __init__(self, c: CouplingSpec, g: GeneralizedParams | None = None):
+        self.n = c.n
+        self.alpha = alpha_matrix(c)
+        self.mu = 0j if g is None else complex(g.lam, g.omega)
+
+    def stage(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
+        n = self.n
+        yc = y.view(np.complex128)
+        alpha = _rotated(self.alpha, self.mu, t)
+        _kernel(alpha, yc[:n], yc[n:], mu=self.mu, out=out.view(np.complex128))
+
+
+class _PairForce:
+    """The pair law on packed stage vectors, as _PlaneForce; each half of
+    the vector holds the plus family before the minus family."""
+
+    pair = True
+
+    def __init__(self, p: PairSpec):
+        self.n = p.n
+        self.alpha = alpha_matrix(p.base)
+        self.mu = p.lam + 1j * p.omega
+
+    def stage(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
+        zp, zm, vp, vm = y.view(np.complex128).reshape(4, self.n)
+        out_p, out_m = out.view(np.complex128).reshape(2, self.n)
+        _pair_kernel(self.alpha, self.mu, zp, zm, vp, vm, out_p, out_m)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planebody.cli import main, read_trajectory_csv, write_trajectory_csv
-from planebody.integrate import IntegratorConfig, integrate
-from planebody.model import PlaneState, rhs_base, zero_couplings
-from planebody.scenario import builtin_scenarios
+from planebody import PlanebodyError
+from planebody.cli import _numeric_trajectory, main, read_trajectory_csv, write_trajectory_csv
+from planebody.integrate import IntegratorConfig, Trajectory, integrate
+from planebody.model import PlaneState, rhs_base, rhs_generalized, rhs_pair, zero_couplings
+from planebody.scenario import builtin_scenarios, scenario_from_dict
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +123,29 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.positions, traj.positions)
     assert np.array_equal(back.velocities, traj.velocities)
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one row format per sample gives the bytes of formatting each value
+    # with "{:.17g}", column by column, for awkward values too
+    rng = np.random.default_rng(58)
+    m, p = 7, 3
+    pos = rng.standard_normal((m, p, 2)) * 10.0 ** rng.integers(-300, 300, (m, p, 2))
+    vel = rng.standard_normal((m, p, 2))
+    pos[0, 0] = [-0.0, 5e-324]
+    vel[1, 2] = [1.0 / 3.0, -1e300]
+    times = np.linspace(-1.0, 2.0, m)
+    traj = Trajectory(times=times, positions=pos, velocities=vel, pair=False)
+    path = str(tmp_path / "rows.csv")
+    write_trajectory_csv(path, traj)
+    want = ["t," + ",".join(f"x_{j},y_{j},vx_{j},vy_{j}" for j in range(1, p + 1))]
+    for i in range(m):
+        row = [times[i]]
+        for j in range(p):
+            row += [pos[i, j, 0], pos[i, j, 1], vel[i, j, 0], vel[i, j, 1]]
+        want.append(",".join("{:.17g}".format(x) for x in row))
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -330,6 +354,86 @@ def test_force_overflow_in_a_stage_prints_no_warning(tmp_path, capsys, command):
         assert len(lines) == 1 and lines[0].startswith("ERROR OriginCollision: ")
     else:
         assert rc == 0 and lines == []
+
+
+def _public_rhs(sc):
+    """The scenario's force law as a user would pass it to integrate."""
+    if sc.variant == "pair":
+        return lambda t, s: rhs_pair(sc.pair, s)
+    if sc.variant == "generalized":
+        return lambda t, s: rhs_generalized(sc.couplings, sc.generalized, t, s)
+    return lambda t, s: rhs_base(sc.couplings, s)
+
+
+def _variant_scenario(variant, initial, t_span, beta, gamma, rates=(0.3, 1.1)):
+    n = len(beta)
+    data = {
+        "name": variant,
+        "variant": variant,
+        "beta": beta,
+        "gamma": gamma,
+        "initial": initial,
+        "integrator": {"t_span": t_span, "samples": 41},
+    }
+    if variant == "generalized":
+        data["generalized_params"] = {"lambda": rates[0], "omega": rates[1]}
+    if variant == "pair":
+        data["pair_params"] = {"Lambda": [rates[0]] * n, "Omega": [rates[1]] * n}
+    return scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("variant", ["base", "generalized", "pair"])
+def test_cli_stage_route_matches_public_integrate(variant):
+    # the CLI's in-place stage forces and integrate(lambda t, s: rhs_*(...))
+    # run the same arithmetic: identical samples and step statistics
+    rng = np.random.default_rng(57)
+    n = 3
+    rows = 2 * n if variant == "pair" else n
+    angles = rng.uniform(0.0, 2.0 * math.pi, rows)
+    radii = rng.uniform(0.8, 1.2, rows)
+    initial = np.column_stack(
+        [radii * np.cos(angles), radii * np.sin(angles), 0.3 * rng.standard_normal((rows, 2))]
+    )
+    sc = _variant_scenario(
+        variant,
+        initial.tolist(),
+        [0.0, 2.0],
+        (0.3 * rng.standard_normal((n, n))).tolist(),
+        (0.3 * rng.standard_normal((n, n))).tolist(),
+    )
+    via_cli = _numeric_trajectory(sc)
+    via_api = integrate(_public_rhs(sc), sc.initial, sc.integrator)
+    assert via_cli.metadata["stats"] == via_api.metadata["stats"]
+    assert via_cli.metadata["stats"]["rhs_evaluations"] > 200
+    assert via_cli.pair == via_api.pair == (variant == "pair")
+    for a, b in (
+        (via_cli.times, via_api.times),
+        (via_cli.positions, via_api.positions),
+        (via_cli.velocities, via_api.velocities),
+    ):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", ["base", "generalized", "pair"])
+def test_cli_stage_route_trips_the_guard_as_public_integrate(variant):
+    # particle 1 (for pairs, the difference of pair 1) collapses towards
+    # the origin at rate about 5 next to a resting particle at unit radius
+    if variant == "pair":
+        initial = [[1.0, 0.0, -5.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 5.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+    else:
+        initial = [[1.0, 0.0, -5.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    sc = _variant_scenario(variant, initial, [0.0, 8.0], zero, zero, rates=(0.02, 0.05))
+    errors = []
+    for run in (lambda: _numeric_trajectory(sc), lambda: integrate(_public_rhs(sc), sc.initial, sc.integrator)):
+        with pytest.raises(PlanebodyError) as info:
+            run()
+        errors.append(info.value)
+    assert errors[0].code == errors[1].code == "OriginCollision"
+    assert errors[0].time is not None and 1.0 < errors[0].time < 8.0
+    assert errors[0].time == errors[1].time
+    assert str(errors[0]) == str(errors[1])
+
 
 # Random base, generalized and pair scenarios, bounded so that every run is
 # short: couplings within 30, |t_span| within 3, at most 60 samples.

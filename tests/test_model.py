@@ -21,7 +21,7 @@ from planebody import (
     to_complex,
     zero_couplings,
 )
-from planebody.model import check_origin_guard, couplings_at
+from planebody.model import ORIGIN_GUARD_RATIO, _accelerations, check_origin_guard, couplings_at
 
 from _util import random_couplings, random_state
 
@@ -283,3 +283,64 @@ def test_rhs_base_matches_complex_law_many_particles(n):
         assert _rel_dev(real, complex_acc(c, s)) < 1e-12
         acc = rhs_complex(c, to_complex(s))
         assert _rel_dev(real, np.stack([acc.real, acc.imag], axis=1)) < 1e-12
+
+
+def _sqrt_form_trips(positions):
+    """The guard's decision in its square-root form: min r < RATIO * max r."""
+    radii = np.sqrt(np.sum(positions * positions, axis=1))
+    return bool(radii.min() == 0.0 or radii.min() < ORIGIN_GUARD_RATIO * radii.max())
+
+
+# (scale, relative distance of "just below" and "just above" from 1e-12);
+# at 1e-145, RATIO**2 * max r**2 is about 1e-314, a subnormal with about
+# 5e-10 relative spacing, so the margin there is wider
+@pytest.mark.parametrize("scale, margin", [(1e-100, 1e-9), (1.0, 1e-9), (1e100, 1e-9), (1e-145, 1e-6)])
+@pytest.mark.parametrize("side", [None, -1.0, 1.0])
+def test_squared_guard_decides_as_the_square_root_form(scale, margin, side):
+    # particle 2 sits at radius ratio 0 (side None) or 1e-12 * (1 -/+ margin)
+    # next to a particle of radius 1 and one of radius 0.5, all times scale
+    ratio = 0.0 if side is None else ORIGIN_GUARD_RATIO * (1.0 + side * margin)
+    positions = scale * np.array([[0.0, 1.0], [0.6 * ratio, 0.8 * ratio], [0.3, -0.4]])
+    want = _sqrt_form_trips(positions)
+    assert want == (side != 1.0)
+    if not want:
+        check_origin_guard(positions)
+        return
+    with pytest.raises(OriginError) as info:
+        check_origin_guard(positions)
+    radii = np.sqrt(np.sum(positions * positions, axis=1))
+    # the message reports the unsquared radius and scale
+    assert str(info.value) == (
+        f"particle 2 radius {radii[1]:.3e} is inside the origin guard (scale {radii[0]:.3e})"
+    )
+
+
+def test_kernel_on_strided_inputs_matches_contiguous_copies():
+    rng = np.random.default_rng(30)
+    c = random_couplings(rng, 5)
+    alpha = alpha_matrix(c)
+    s = random_state(rng, 10)
+    # every other particle: rows are (x, y) pairs but the array is strided
+    r, v = s.positions[::2], s.velocities[::2]
+    assert not r.flags.c_contiguous and not v.flags.c_contiguous
+    want = _accelerations(alpha, r.copy(), v.copy())
+    assert np.array_equal(_accelerations(alpha, r, v), want)
+    # column-major: x and y of one particle are not adjacent at all
+    fr, fv = np.asfortranarray(r), np.asfortranarray(v)
+    assert not fr.flags.c_contiguous
+    assert np.array_equal(_accelerations(alpha, fr, fv), want)
+    assert np.array_equal(want, rhs_base(c, PlaneState(r, v)))
+    # the inputs are viewed, never written
+    assert np.array_equal(r, s.positions[::2]) and np.array_equal(v, s.velocities[::2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_kernel_agrees_with_rhs_complex(n):
+    rng = np.random.default_rng(31 + n)
+    for _ in range(5):
+        c = random_couplings(rng, n)
+        s = random_state(rng, n)
+        acc = _accelerations(alpha_matrix(c), s.positions, s.velocities)
+        assert acc.shape == (n, 2) and acc.dtype == np.float64
+        ref = rhs_complex(c, to_complex(s))
+        assert _rel_dev(acc, np.stack([ref.real, ref.imag], axis=1)) < 1e-12
