@@ -13,11 +13,14 @@ self-similar motions.
 detect_period confirms periods empirically on sampled trajectories.
 A purely imaginary spectrum seeds its candidate period; without one,
 the candidates are the local minima of the mean squared state distance
-over all lags, built in O(m log m) from one FFT autocorrelation.  Each
-candidate is refined and accepted by the mean distance between the
-trajectory and its copy shifted by a fraction of a sample, Hermite-
-interpolated; the distance is formed from cached differences of the
-samples, so refining subtracts no nearly equal states.
+over all lags, built in O(m log m) from one FFT autocorrelation.  The
+trajectory is compared with its copy shifted by a fraction of a sample,
+Hermite-interpolated.  On each sample interval the summed squared
+distance is a degree-6 polynomial in that fraction, so each candidate
+is refined in closed form to the shift that minimises the mean squared
+distance, as the lag profile does over whole lags, and accepted by the
+mean distance at that shift.  Both are formed from offset differences
+of the samples, so refining subtracts no nearly equal states.
 """
 from __future__ import annotations
 
@@ -171,45 +174,86 @@ class _ShiftDistance:
             + h10 dt ydot[j:j+c] + h11 dt ydot[j+1:j+1+c],   base = y[:c],
 
     which subtracts no nearly equal O(1) states.  Near the end of the
-    grid the slices stay in range and extrapolate instead.  `offsets`
-    caches the differences y[k:k+c] - base by k; a search on a bracket
-    of two samples reads at most four of them, so the caller clears it
-    between brackets.  The sum is formed in two preallocated (c, d)
-    buffers: fresh temporaries doubled the cost of an evaluation at
-    m = 8001.
+    grid the slices stay in range and extrapolate instead.  The offset
+    differences y[k:k+c] - base and the sum are formed in two
+    preallocated (c, d) buffers, which argmin reuses as well: fresh
+    temporaries doubled the cost of an evaluation at m = 8001.
     """
+
+    # Row k holds the theta^k coefficients of the Hermite weights of
+    # (y[j:j+c] - base, y[j+1:j+1+c] - base, dt ydot[j:j+c], dt ydot[j+1:j+1+c]);
+    # _weights folds dt into the last two columns.
+    _HERMITE = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [-3.0, 3.0, -2.0, -1.0],
+        [2.0, -2.0, 1.0, 1.0],
+    ])
+    # the power of theta that entry [p, q] of a flattened 4x4 matrix multiplies: p + q
+    _POWER = np.add.outer(np.arange(4), np.arange(4)).ravel()
 
     def __init__(self, y: np.ndarray, dt: float, count: int):
         vel = y[:, y.shape[1] // 2:]
         self.y = y
         self.ydot = np.concatenate([vel, _fd_acceleration(vel, dt)], axis=1)
-        self.dt = dt
         self.count = count
-        self.offsets: dict[int, np.ndarray] = {}
+        self._weights = self._HERMITE * np.array([1.0, 1.0, dt, dt])
         self._sum = np.empty((count, y.shape[1]))
         self._term = np.empty_like(self._sum)
-
-    def _offset(self, k: int) -> np.ndarray:
-        d = self.offsets.get(k)
-        if d is None:
-            d = self.offsets[k] = self.y[k:k + self.count] - self.y[:self.count]
-        return d
 
     def __call__(self, shift: float) -> float:
         c = self.count
         j = min(math.floor(shift), self.y.shape[0] - 1 - c)
         theta = shift - j
-        t2 = theta * theta
-        t3 = t2 * theta
-        d, term = self._sum, self._term
-        np.multiply(self._offset(j), 2.0 * t3 - 3.0 * t2 + 1.0, out=d)
-        for x, w in (
-            (self._offset(j + 1), -2.0 * t3 + 3.0 * t2),
-            (self.ydot[j:j + c], (t3 - 2.0 * t2 + theta) * self.dt),
-            (self.ydot[j + 1:j + 1 + c], (t3 - t2) * self.dt),
-        ):
-            d += np.multiply(x, w, out=term)
+        w = np.array([1.0, theta, theta * theta, theta**3]) @ self._weights
+        y, d, term = self.y, self._sum, self._term
+        np.subtract(y[j:j + c], y[:c], out=d)
+        d *= w[0]
+        np.subtract(y[j + 1:j + 1 + c], y[:c], out=term)
+        d += np.multiply(term, w[1], out=term)
+        d += np.multiply(self.ydot[j:j + c], w[2], out=term)
+        d += np.multiply(self.ydot[j + 1:j + 1 + c], w[3], out=term)
         return float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
+
+    def argmin(self, lo: float, hi: float) -> float:
+        """Shift in [lo, hi] that minimises the mean squared distance.
+
+        On interval j the difference is P0 + P1 theta + P2 theta^2 +
+        P3 theta^3 with P = _HERMITE @ A, where A holds the four arrays
+        of __call__, so its summed square is the sum of
+        (H G H^T)[p, q] theta^(p+q) with G the Gram matrix of A: ten dot
+        products on contiguous views.  Each interval the bracket touches,
+        clamped as in __call__ so that the last one extrapolates,
+        contributes its ends and the real parts of the roots of that
+        degree-6 polynomial's derivative, clipped to the interval; the
+        least value over all of them wins.
+        """
+        c = self.count
+        y, base, h = self.y, self.y[:c], self._weights
+        jmax = y.shape[0] - 1 - c
+        best, best_shift = math.inf, lo
+        j = min(math.floor(lo), jmax)
+        o0, o1 = self._sum, self._term
+        np.subtract(y[j:j + c], base, out=o1)
+        while True:
+            o0, o1 = o1, o0  # the right offset of interval j - 1 is the left one of j
+            np.subtract(y[j + 1:j + 1 + c], base, out=o1)
+            flat = [x.ravel() for x in (o0, o1, self.ydot[j:j + c], self.ydot[j + 1:j + 1 + c])]
+            g = np.empty((4, 4))
+            for p in range(4):
+                for q in range(p, 4):
+                    g[p, q] = g[q, p] = flat[p] @ flat[q]
+            poly = np.bincount(self._POWER, (h @ g @ h.T).ravel())[::-1]
+            a = max(lo - j, 0.0)
+            b = hi - j if j == jmax else min(hi - j, 1.0)
+            theta = np.concatenate([[a, b], np.clip(np.roots(np.polyder(poly)).real, a, b)])
+            f = np.polyval(poly, theta)
+            i = int(np.argmin(f))
+            if f[i] < best:
+                best, best_shift = float(f[i]), j + float(theta[i])
+            if j == jmax or hi <= j + 1:
+                return best_shift
+            j += 1
 
 
 def _lag_profile(y: np.ndarray, kmax: int) -> np.ndarray:
@@ -232,24 +276,6 @@ def _lag_profile(y: np.ndarray, kmax: int) -> np.ndarray:
     return np.maximum(total - 2.0 * cross, 0.0) / (m - k)
 
 
-def _golden_minimize(fn, a: float, b: float, iterations: int = 60) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for _ in range(iterations):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-    return (a + b) / 2.0
-
-
 def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> float | None:
     """Smallest period T with mean relative state distance |s(t+T) - s(t)| <= tol.
 
@@ -259,10 +285,14 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
     the mean squared state distance at each lag up to half the span,
     built from one FFT autocorrelation; the profile is not computed
     when the spectrum seeds a candidate.  Each candidate is refined
-    continuously (60 golden-section iterations, 62 evaluations of the
-    mean distance to the Hermite-interpolated shifted trajectory, on a
-    bracket of one sample either side) before the tolerance test.
-    Constant trajectories return None.
+    continuously, on a bracket of one sample either side, to the shift
+    that minimises the mean squared distance to the Hermite-interpolated
+    shifted trajectory: in closed form, from the ends and the roots of
+    the derivative of one degree-6 polynomial per sample interval.  The
+    tolerance test reads the mean distance at that shift, one evaluation
+    per candidate.  The states are first scaled by a power of two, which
+    is exact, so any finite magnitude is detected alike.
+    Constant and non-finite trajectories return None.
     Raises InsufficientSpanError when fewer than 3 samples are
     available or a spectrum-seeded candidate exceeds half the sampled
     span.
@@ -280,15 +310,19 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
     span = float(traj.times[-1] - traj.times[0])
 
     y = _flatten_states(traj)
-    scale = float(np.max(np.sqrt(np.sum(y * y, axis=1))))
-    if scale == 0.0:
+    if not np.isfinite(y).all():
         return None
+    peak = float(np.max(np.abs(y)))
+    if peak == 0.0:
+        return None
+    np.ldexp(y, -math.frexp(peak)[1], out=y)  # max |y| in [0.5, 1): no square overflows
+    scale = float(np.max(np.sqrt(np.sum(y * y, axis=1))))
     drift = np.sqrt(np.sum((y - y[0]) ** 2, axis=1)) / scale
     if float(np.max(drift)) <= tol:
         return None  # standstill, no meaningful period
 
     kmax = (m - 1) // 2
-    candidates: list[float] = []
+    candidates: list[float] = []  # in samples
     if eigenvalues is not None:
         w = np.asarray(eigenvalues, dtype=np.complex128).ravel()
         t_seed = None
@@ -302,25 +336,20 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
                 raise InsufficientSpanError(
                     f"candidate period {t_seed:.6g} exceeds half the sampled span {span:.6g}"
                 )
-            candidates.append(t_seed)
+            candidates.append(t_seed / dt)
     if not candidates:
         lag = _lag_profile(y, kmax)
         inner = lag[2:kmax]
         minima = (inner < lag[1 : kmax - 1]) & (inner <= lag[3 : kmax + 1])
-        candidates = [k * dt for k in (np.flatnonzero(minima) + 2).tolist()]
+        candidates = (np.flatnonzero(minima) + 2).tolist()
 
     distance = _ShiftDistance(y, dt, max(1, m - kmax))
-
-    def mean_distance(period: float) -> float:
-        return distance(period / dt) / scale
-
-    for t_cand in sorted(candidates):
-        lo = max(dt, t_cand - dt)
-        hi = min(span / 2.0, t_cand + dt)
+    for cand in sorted(candidates):
+        lo = max(1.0, cand - 1.0)
+        hi = min(span / (2.0 * dt), cand + 1.0)
         if hi <= lo:
             continue
-        distance.offsets.clear()
-        refined = _golden_minimize(mean_distance, lo, hi)
-        if mean_distance(refined) <= tol:
-            return refined
+        shift = distance.argmin(lo, hi)
+        if distance(shift) / scale <= tol:
+            return shift * dt
     return None

@@ -279,8 +279,8 @@ def test_lag_profile_matches_direct_sum(kind):
     assert np.max(np.abs(got - _direct_lag_profile(y, kmax))) <= 1e-9 * scale
 
 
-def _direct_shift_distance(traj, shift, count):
-    """Mean |s(t_i + shift dt) - s(t_i)| over i < count: positions Hermite-
+def _direct_shift_difference(traj, shift, count):
+    """s(t_i + shift dt) - s(t_i) for i < count: positions Hermite-
     interpolated with velocities, velocities with FD accelerations, on the
     interval [t_j, t_j+1], j = min(floor(shift), m - 1 - count)."""
     m = len(traj.times)
@@ -295,8 +295,12 @@ def _direct_shift_distance(traj, shift, count):
     a = np.arange(count) + j
     p = h00 * pos[a] + h10 * dt * vel[a] + h01 * pos[a + 1] + h11 * dt * vel[a + 1]
     v = h00 * vel[a] + h10 * dt * acc[a] + h01 * vel[a + 1] + h11 * dt * acc[a + 1]
-    d = np.concatenate([p - pos[:count], v - vel[:count]], axis=1)
-    return float(np.mean(np.linalg.norm(d, axis=1)))
+    return np.concatenate([p - pos[:count], v - vel[:count]], axis=1)
+
+
+def _direct_shift_distance(traj, shift, count):
+    """Mean |s(t_i + shift dt) - s(t_i)| over i < count."""
+    return float(np.mean(np.linalg.norm(_direct_shift_difference(traj, shift, count), axis=1)))
 
 
 def test_shift_distance_matches_direct_hermite():
@@ -348,3 +352,106 @@ def test_detect_period_on_decreasing_grid_matches_increasing(route):
         got = detect_period(backward, eigenvalues=eigenvalues)
         assert want == pytest.approx(TWO_PI, rel=1e-6)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def _direct_mean_squared_distance(traj, shift, count):
+    d = _direct_shift_difference(traj, shift, count)
+    return float(np.mean(np.sum(d * d, axis=1)))
+
+
+@pytest.mark.parametrize(
+    "case, lo, hi",
+    [
+        ("closed", 159.0, 161.0),  # a lag-profile bracket around the period
+        ("closed", 159.37, 161.37),  # a seeded bracket over three intervals
+        ("closed", 100.2, 102.2),  # no period inside
+        ("closed", 198.6, 200.0),  # up to half the span, m odd
+        ("off", 79.37, 81.37),  # the period inside an interval
+        ("late", 159.3, 160.5),  # across the clamp into the extrapolated interval
+        ("late", 160.0, 160.5),  # entirely past the clamp
+    ],
+)
+def test_shift_argmin_matches_dense_grid(case, lo, hi):
+    if case == "closed":
+        traj = _periodic_closed_form(401)[0]
+    elif case == "off":
+        # the circle's period at 80.37 samples, off the grid
+        traj = _circle_trajectory(t_end=TWO_PI * 320 / 80.37, m=321)
+    else:
+        # m even: the period, 160.3 samples, lies past m - 1 - count + 1 = 160,
+        # where only the clamped last interval reaches, extrapolating
+        traj = _circle_trajectory(t_end=TWO_PI * 321 / 160.3, m=322)
+    m = len(traj.times)
+    dt = float(traj.times[1] - traj.times[0])
+    count = m - (m - 1) // 2
+    grid = np.linspace(lo, hi, 801)
+    values = np.array([_direct_mean_squared_distance(traj, s, count) for s in grid])
+    got = _ShiftDistance(_flatten_states(traj), dt, count).argmin(lo, hi)
+    assert lo <= got <= hi
+    assert abs(got - grid[np.argmin(values)]) <= grid[1] - grid[0]
+    assert _direct_mean_squared_distance(traj, got, count) <= values.min() + 1e-12 * values.max()
+
+
+def _golden_minimize(fn, a, b, iterations=60):
+    """Golden-section search, the refinement detect_period used before."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1 = fn(x1)
+    f2 = fn(x2)
+    for _ in range(iterations):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = fn(x2)
+    return (a + b) / 2.0
+
+
+@pytest.mark.parametrize("case", ["circle", 1, 2, 3, 8, 20])
+def test_detect_period_matches_golden_section_reference(case):
+    if case == "circle":
+        traj, lam, period = _circle_trajectory(), [1j], TWO_PI
+    else:
+        traj, lam, period = _periodic_closed_form(8001, seed=case)
+    m = len(traj.times)
+    dt = float(traj.times[1] - traj.times[0])
+    distance = _ShiftDistance(_flatten_states(traj), dt, m - (m - 1) // 2)
+    want = _golden_minimize(distance, period / dt - 1.0, period / dt + 1.0) * dt
+    # spectra off by 1e-15 seed brackets that overhang an interval by a sliver
+    lam = np.asarray(lam)
+    for eigenvalues in (lam, lam * (1.0 - 1e-15), lam * (1.0 + 1e-15), None):
+        got = detect_period(traj, eigenvalues=eigenvalues)
+        assert got is not None
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0**-600, 2.0**600])
+def test_detect_period_is_scale_invariant(scale):
+    traj = _circle_trajectory()
+    scaled = Trajectory(traj.times, scale * traj.positions, scale * traj.velocities)
+    for eigenvalues in ([1j], None):
+        want = detect_period(traj, eigenvalues=eigenvalues)
+        got = detect_period(scaled, eigenvalues=eigenvalues)
+        assert got is not None
+        if math.frexp(scale)[0] == 0.5:  # a power of two scales every step exactly
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("part", ["positions", "velocities"])
+def test_detect_period_non_finite_returns_none(bad, part):
+    # a non-finite sample ends in None, never in an exception or a warning
+    traj = _circle_trajectory()
+    arrays = {"positions": traj.positions.copy(), "velocities": traj.velocities.copy()}
+    arrays[part][17, 0, 1] = bad
+    broken = Trajectory(traj.times, arrays["positions"], arrays["velocities"])
+    for eigenvalues in ([1j], None):
+        assert detect_period(broken, eigenvalues=eigenvalues) is None
