@@ -140,10 +140,13 @@ def rational_period(frequencies, tol: float = 1e-9) -> float | None:
 
 
 def _flatten_states(traj: Trajectory) -> np.ndarray:
-    m = len(traj.times)
-    return np.concatenate(
-        [traj.positions.reshape(m, -1), traj.velocities.reshape(m, -1)], axis=1
-    )
+    """(m, d) rows of every position, then every velocity: one copy of
+    the trajectory's arrays, which may be strided views of a grid."""
+    m, p = traj.positions.shape[:2]
+    y = np.empty((m, 2, p, 2))
+    y[:, 0] = traj.positions
+    y[:, 1] = traj.velocities
+    return y.reshape(m, -1)
 
 
 def _fd_acceleration(vel: np.ndarray, dt: float) -> np.ndarray:
@@ -166,12 +169,14 @@ class _ShiftDistance:
     y holds the sampled states (m, d), positions before velocities, on a
     grid of spacing dt.  The shifted states are cubic Hermite interpolants
     with derivatives ydot: the velocities for the positions, fourth-order
-    finite differences of the velocities for the velocities.  All
+    finite differences of the velocities for the velocities.  They are
+    stored as slopes, slope = dt ydot, so no power of 1/dt is formed and
+    a tiny time unit cannot overflow them or their Gram matrix.  All
     points share one fractional offset theta, so the weights are scalars,
     and since the two value weights sum to one, the distance is
 
         h00 (y[j:j+c] - base) + h01 (y[j+1:j+1+c] - base)
-            + h10 dt ydot[j:j+c] + h11 dt ydot[j+1:j+1+c],   base = y[:c],
+            + h10 slope[j:j+c] + h11 slope[j+1:j+1+c],   base = y[:c],
 
     which subtracts no nearly equal O(1) states.  Near the end of the
     grid the slices stay in range and extrapolate instead.  The offset
@@ -181,8 +186,7 @@ class _ShiftDistance:
     """
 
     # Row k holds the theta^k coefficients of the Hermite weights of
-    # (y[j:j+c] - base, y[j+1:j+1+c] - base, dt ydot[j:j+c], dt ydot[j+1:j+1+c]);
-    # _weights folds dt into the last two columns.
+    # (y[j:j+c] - base, y[j+1:j+1+c] - base, slope[j:j+c], slope[j+1:j+1+c]).
     _HERMITE = np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 0.0],
@@ -195,9 +199,9 @@ class _ShiftDistance:
     def __init__(self, y: np.ndarray, dt: float, count: int):
         vel = y[:, y.shape[1] // 2:]
         self.y = y
-        self.ydot = np.concatenate([vel, _fd_acceleration(vel, dt)], axis=1)
+        # dt times the finite-difference acceleration is the difference at unit spacing
+        self.slope = np.concatenate([dt * vel, _fd_acceleration(vel, 1.0)], axis=1)
         self.count = count
-        self._weights = self._HERMITE * np.array([1.0, 1.0, dt, dt])
         self._sum = np.empty((count, y.shape[1]))
         self._term = np.empty_like(self._sum)
 
@@ -205,14 +209,14 @@ class _ShiftDistance:
         c = self.count
         j = min(math.floor(shift), self.y.shape[0] - 1 - c)
         theta = shift - j
-        w = np.array([1.0, theta, theta * theta, theta**3]) @ self._weights
+        w = np.array([1.0, theta, theta * theta, theta**3]) @ self._HERMITE
         y, d, term = self.y, self._sum, self._term
         np.subtract(y[j:j + c], y[:c], out=d)
         d *= w[0]
         np.subtract(y[j + 1:j + 1 + c], y[:c], out=term)
         d += np.multiply(term, w[1], out=term)
-        d += np.multiply(self.ydot[j:j + c], w[2], out=term)
-        d += np.multiply(self.ydot[j + 1:j + 1 + c], w[3], out=term)
+        d += np.multiply(self.slope[j:j + c], w[2], out=term)
+        d += np.multiply(self.slope[j + 1:j + 1 + c], w[3], out=term)
         return float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
 
     def argmin(self, lo: float, hi: float) -> float:
@@ -229,7 +233,7 @@ class _ShiftDistance:
         least value over all of them wins.
         """
         c = self.count
-        y, base, h = self.y, self.y[:c], self._weights
+        y, base, h = self.y, self.y[:c], self._HERMITE
         jmax = y.shape[0] - 1 - c
         best, best_shift = math.inf, lo
         j = min(math.floor(lo), jmax)
@@ -238,7 +242,7 @@ class _ShiftDistance:
         while True:
             o0, o1 = o1, o0  # the right offset of interval j - 1 is the left one of j
             np.subtract(y[j + 1:j + 1 + c], base, out=o1)
-            flat = [x.ravel() for x in (o0, o1, self.ydot[j:j + c], self.ydot[j + 1:j + 1 + c])]
+            flat = [x.ravel() for x in (o0, o1, self.slope[j:j + c], self.slope[j + 1:j + 1 + c])]
             g = np.empty((4, 4))
             for p in range(4):
                 for q in range(p, 4):

@@ -113,10 +113,10 @@ def _sample_times(sc: Scenario) -> np.ndarray:
 def _exact_trajectory(sc: Scenario) -> Trajectory:
     times = _sample_times(sc)
     if sc.variant == "pair":
-        ps = exact.pair_solve(sc.pair, sc.initial)
-        return trajectory_from_states(times, exact._pair_states(ps, times), pair=True)
-    sol = exact.spectral_solve(sc.couplings, to_complex(sc.initial))
-    states = exact.exact_states(sol, times, g=sc.generalized)
+        states = exact._pair_states(exact.pair_solve(sc.pair, sc.initial), times)
+    else:
+        sol = exact.spectral_solve(sc.couplings, to_complex(sc.initial))
+        states = exact.exact_states(sol, times, g=sc.generalized)
     return trajectory_from_states(times, states)
 
 

@@ -49,6 +49,10 @@ class PairCollisionError(PlanebodyError):
 
     code = "PairCollision"
 
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
+
 
 class OriginCollisionError(PlanebodyError):
     """A trajectory entered the origin guard during integration."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DefectiveMatrixError, BlowupError, OriginError
+from .errors import DefectiveMatrixError, BlowupError, OriginError, PairCollisionError
 from .model import (
     ComplexState,
     CouplingSpec,
@@ -232,11 +232,16 @@ def _grid_values(sol: SpectralSolution, s: np.ndarray, dsdt=None):
     return exponent, z, zdot
 
 
+def _first(bad: np.ndarray) -> int:
+    """Index of the first true entry of a boolean vector, or its length."""
+    return int(np.argmax(bad)) if bad.any() else bad.size
+
+
 def _first_failure(exponent, z, zdot) -> int:
     """Index of the first sample that fails the checks of _eval_grid, or m."""
     # a non-finite exponent, z or dsdt leaves z' non-finite as well
     ok = ((np.abs(exponent.real) <= EXPONENT_LIMIT) & np.isfinite(zdot) & (z != 0.0)).all(axis=0)
-    return ok.size if ok.all() else int(np.argmin(ok))
+    return _first(~ok)
 
 
 def _raise_failure(k: int, exponent, z, zdot, t) -> None:
@@ -376,35 +381,36 @@ def eval_pair_solution(ps: PairSolution, t: float) -> PairState:
     return _pair_states(ps, np.array([t], dtype=np.float64))[0]
 
 
-def _pair_states(ps: PairSolution, times) -> list[PairState]:
-    """Closed-form states of the doubled system over a time grid.
+def _pair_states(ps: PairSolution, times) -> _StateGrid:
+    """Closed-form states of the doubled system over a time grid, as a
+    pair grid of the 2n particles, plus family first.
 
     The relative part is one grid of _eval_grid's values and the centre
     part one (n, m) expression.  Samples are checked in time order, and
     the error is the one of the first failing sample: the relative part's
     blow-up (as in _eval_grid), then an overflow of the families
     (BlowupError), then an exact plus/minus coincidence
-    (PairCollisionError, raised by the PairState constructor).
+    (PairCollisionError).
     """
     t = np.asarray(times, dtype=np.float64)
     exponent, rel, reldot = _grid_values(ps.relative, t)
     bad = _first_failure(exponent, rel, reldot)
     zsum, zdotsum = _center_grid(ps.center, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        families = [0.5 * (zsum + rel), 0.5 * (zdotsum + reldot),
-                    0.5 * (zsum - rel), 0.5 * (zdotsum - reldot)]
-    finite = np.logical_and.reduce([np.isfinite(f).all(axis=0) for f in families])
-    stop = min(bad, finite.size if finite.all() else int(np.argmin(finite)))
-    pp, pv, mp, mv = [np.stack([f.real.T, f.imag.T], axis=2) for f in families]
-    states = [
-        PairState(plus=PlaneState._checked(pp[i], pv[i]), minus=PlaneState._checked(mp[i], mv[i]))
-        for i in range(stop)
-    ]
-    if stop < bad:
-        raise BlowupError(f"a plus/minus state overflows at t = {t[stop].item()}", time=float(t[stop]))
+        z = 0.5 * np.concatenate([zsum + rel, zsum - rel])
+        zdot = 0.5 * np.concatenate([zdotsum + reldot, zdotsum - reldot])
+    overflow = _first(~(np.isfinite(z) & np.isfinite(zdot)).all(axis=0))
+    n = rel.shape[0]
+    coincide = _first((z[:n] == z[n:]).any(axis=0))
+    if coincide < min(bad, overflow):
+        tk = t[coincide].item()
+        raise PairCollisionError(f"a plus/minus pair coincides exactly at t = {tk}", time=tk)
+    if overflow < bad:
+        tk = t[overflow].item()
+        raise BlowupError(f"a plus/minus state overflows at t = {tk}", time=tk)
     if bad < t.size:
         _raise_failure(bad, exponent, rel, reldot, t)
-    return states
+    return _state_grid(z, zdot, pair=True)
 
 
 def eval_pair(p: PairSpec, initial: PairState, t: float) -> PairState:
@@ -472,6 +478,10 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
         z, zdot = _eval_grid(sol, t, t)
     else:
         z, zdot = _generalized_grid(sol, g, t)
-    pos = np.stack([z.real.T, z.imag.T], axis=2)
-    vel = np.stack([zdot.real.T, zdot.imag.T], axis=2)
-    return _StateGrid(pos, vel)
+    return _state_grid(z, zdot)
+
+
+def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False) -> _StateGrid:
+    """The checked (p, m) complex grids z and z' as (m, p, 2) state arrays."""
+    pos, vel = (np.stack([a.real.T, a.imag.T], axis=2) for a in (z, zdot))
+    return _StateGrid(pos, vel, pair)

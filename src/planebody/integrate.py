@@ -11,14 +11,16 @@ Guards: a relative origin guard (collision), a 1e150 magnitude bound
 (double-exponential blow-up) and a minimum step size (underflow).
 
 The state is packed into one float64 stage vector: every position, then
-every velocity, as (x, y) pairs, the plus family before the minus family
-for pairs.  A stage checks its vector for finiteness, copies the
-vector's velocity half into the first half of its derivative row and
-has the force law fill the second half in place, then checks those
-accelerations for finiteness.  The built-in force laws (`model._PlaneForce`
-and `model._PairForce`, which the CLI passes) do that on complex views of
-the two halves with no per-stage object; any other rhs(t, state) is
-called on read-only PlaneState or PairState views of the stage vector.
+every velocity, as (x, y) pairs.  A pair state is packed as the plane
+state of its 2n particles, the plus family before the minus family
+(`model._stacked`), so there is one packing.  A stage checks its vector
+for finiteness, copies the vector's velocity half into the first half
+of its derivative row and has the force law fill the second half in
+place, then checks those accelerations for finiteness.  The built-in
+force laws (`model._PlaneForce` and `model._PairForce`, which the CLI
+passes) do that on complex views of the two halves with no per-stage
+object; any other rhs(t, state) is called on the stage vector read as
+a one-sample `_StateGrid`, a read-only PlaneState or PairState view.
 Both go through the same stepping loop.
 """
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     PairCollisionError,
     StepUnderflowError,
 )
-from .model import PairState, PlaneState, _PairForce, _PlaneForce, _StateGrid, check_origin_guard
+from .model import PairState, PlaneState, _PairForce, _PlaneForce, _StateGrid, _stacked, check_origin_guard
 
 OVERFLOW_LIMIT = 1e150
 
@@ -146,74 +148,6 @@ class Trajectory:
         )
 
 
-class _PlanePacker:
-    pair = False
-    variant = "plane"
-
-    def __init__(self, s0: PlaneState):
-        self.n = s0.n
-
-    def pack(self, s: PlaneState) -> np.ndarray:
-        return np.concatenate([s.positions.ravel(), s.velocities.ravel()])
-
-    def unpack(self, y: np.ndarray) -> PlaneState:
-        k = 2 * self.n
-        return PlaneState._checked(y[:k].reshape(self.n, 2), y[k:].reshape(self.n, 2))
-
-    def guard_positions(self, y: np.ndarray) -> np.ndarray:
-        return y[: 2 * self.n].reshape(self.n, 2)
-
-    def user_stage(self, rhs):
-        """stage(t, y, out) calling rhs(t, state) on a read-only view of y."""
-
-        def stage(t, y, out):
-            out[:] = np.asarray(rhs(t, self.unpack(y)), dtype=np.float64).reshape(out.shape)
-
-        return stage
-
-
-class _PairPacker:
-    pair = True
-    variant = "pair"
-
-    def __init__(self, s0: PairState):
-        self.n = s0.n
-
-    def pack(self, s: PairState) -> np.ndarray:
-        return np.concatenate(
-            [
-                s.plus.positions.ravel(),
-                s.minus.positions.ravel(),
-                s.plus.velocities.ravel(),
-                s.minus.velocities.ravel(),
-            ]
-        )
-
-    def unpack(self, y: np.ndarray) -> PairState:
-        n = self.n
-        k = 2 * n
-        return PairState(
-            plus=PlaneState._checked(y[:k].reshape(n, 2), y[2 * k:3 * k].reshape(n, 2)),
-            minus=PlaneState._checked(y[k:2 * k].reshape(n, 2), y[3 * k:].reshape(n, 2)),
-        )
-
-    def guard_positions(self, y: np.ndarray) -> np.ndarray:
-        n = self.n
-        k = 2 * n
-        return (y[:k] - y[k:2 * k]).reshape(n, 2)
-
-    def user_stage(self, rhs):
-        """stage(t, y, out) calling rhs(t, state) on a read-only view of y."""
-        k = 2 * self.n
-
-        def stage(t, y, out):
-            acc_p, acc_m = rhs(t, self.unpack(y))
-            out[:k] = np.asarray(acc_p, dtype=np.float64).reshape(k)
-            out[k:] = np.asarray(acc_m, dtype=np.float64).reshape(k)
-
-        return stage
-
-
 class _GuardTrip(Exception):
     def __init__(self, t: float, cause: Exception):
         self.t = t
@@ -252,23 +186,27 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     Trajectory sampled at sample_count equally spaced times, endpoints
     included; metadata carries step statistics and tolerances.
     """
-    packer = _PairPacker(s0) if isinstance(s0, PairState) else _PlanePacker(s0)
+    pair = isinstance(s0, PairState)
     if isinstance(rhs, (_PlaneForce, _PairForce)):
-        if rhs.pair != packer.pair or rhs.n != packer.n:
-            raise ValueError(f"the force law does not fit the initial state ({packer.n} particles)")
+        if rhs.pair != pair or rhs.n != s0.n:
+            raise ValueError(f"the force law does not fit the initial state ({s0.n} particles)")
         stage = rhs.stage
     else:
-        stage = packer.user_stage(rhs)
+        def stage(t, y, out):
+            state = _StateGrid(*y.reshape(2, 1, -1, 2), pair)[0]
+            out[:] = np.asarray(rhs(t, state), dtype=np.float64).reshape(out.shape)
+
     t0, t1 = cfg.t_span
     direction = 1.0 if t1 > t0 else -1.0
     m = cfg.sample_count
     samples = np.linspace(t0, t1, m)
     h_max = cfg.effective_h_max()
 
-    y = packer.pack(s0)
-    check_origin_guard_traj(packer, y, t0)
-    # both packings hold every position before every velocity, so the
-    # velocity half of a derivative is the second half of its stage vector
+    pos, vel = _stacked(s0)
+    y = np.concatenate([pos.ravel(), vel.ravel()])
+    check_origin_guard_traj(y, pair, t0)
+    # every position comes before every velocity, so the velocity half
+    # of a derivative is the second half of its stage vector
     half = y.size // 2
 
     def deriv(t, yv, dy):
@@ -334,7 +272,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
                     f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} near t = {t + h:.6g}",
                     time=float(t + h),
                 )
-            check_origin_guard_traj(packer, y_new, t + h)
+            check_origin_guard_traj(y_new, pair, t + h)
             t_new = t1 if last else t + h
             while next_sample < m and (samples[next_sample] - t_new) * direction <= 0.0:
                 theta = (samples[next_sample] - t) / h
@@ -354,14 +292,13 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         out[next_sample] = y
         next_sample += 1
 
-    # the pair packing puts the plus family first, as Trajectory stacks it
     return Trajectory(
         times=samples,
         positions=out[:, :half].reshape(m, -1, 2),
         velocities=out[:, half:].reshape(m, -1, 2),
-        pair=packer.pair,
+        pair=pair,
         metadata={
-            "variant": packer.variant,
+            "variant": "pair" if pair else "plane",
             "rtol": cfg.rtol,
             "atol": cfg.atol,
             "stats": {"accepted": naccept, "rejected": nreject, "rhs_evaluations": nfev},
@@ -379,9 +316,13 @@ def _first_derivative(deriv, t0, y, dy):
         ) from trip.cause
 
 
-def check_origin_guard_traj(packer, y, t):
+def check_origin_guard_traj(y, pair, t):
+    pos = y[: y.size // 2].reshape(-1, 2)
+    if pair:
+        n = pos.shape[0] // 2
+        pos = pos[:n] - pos[n:]
     try:
-        check_origin_guard(packer.guard_positions(y))
+        check_origin_guard(pos)
     except (OriginError, PairCollisionError) as exc:
         raise OriginCollisionError(
             f"trajectory entered the singularity guard at t = {t:.6g} ({exc})",
@@ -392,24 +333,22 @@ def check_origin_guard_traj(packer, y, t):
 def trajectory_from_states(times, states, pair: bool = False, metadata: dict | None = None) -> Trajectory:
     """Assemble a Trajectory from per-sample PlaneState or PairState values.
 
-    The grid sequence of exact_states hands over its (m, n, 2) arrays
-    as they are; any other sequence of states is stacked sample by sample.
+    A state grid (exact_states, the pair grid) hands over its (m, p, 2)
+    arrays and its pair flag as they are; any other sequence of states
+    is stacked sample by sample, a PairState as its 2n particles, plus
+    family first.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if not pair and isinstance(states, _StateGrid):
-        pos, vel = states.positions, states.velocities
+    if isinstance(states, _StateGrid):
+        pos, vel, pair = states.positions, states.velocities, states.pair
     else:
         pos = []
         vel = []
         for s in states:
-            if pair:
-                pos.append(np.concatenate([s.plus.positions, s.minus.positions]))
-                vel.append(np.concatenate([s.plus.velocities, s.minus.velocities]))
-            else:
-                pos.append(s.positions)
-                vel.append(s.velocities)
+            p, v = _stacked(s)
+            pos.append(p)
+            vel.append(v)
     return Trajectory(
-        times=times,
+        times=np.asarray(times, dtype=np.float64),
         positions=pos,
         velocities=vel,
         pair=pair,

@@ -100,16 +100,14 @@ class PlaneState:
     shape-checks, finiteness-checks and freezes both arrays, so user data
     and parsed scenarios always go through it.  `_checked` stores arrays
     that are already known to be finite float64 of shape (n, 2), with no
-    copy; its only callers are
-      - the closed-form grid (`_StateGrid`, returned by
-        `exact.exact_states` after `_eval_grid` has checked every z and
-        z'), one sample at a time as samples are read;
-      - the pair grid (`exact._pair_states`), after the same check and
-        a finiteness check of the centre part;
-      - the integrator's stages (`integrate`), whose stage vectors are
-        isfinite-checked before they are wrapped.
-    Pairs of such states go through the PairState constructor, which
-    keeps its exact-coincidence check.
+    copy; its only caller is `_StateGrid`, one sample at a time as
+    samples are read, over
+      - the closed-form grids of `exact.exact_states` and
+        `exact._pair_states`, every value of which has been checked;
+      - the integrator's stage vectors (`integrate`), which are
+        isfinite-checked before they are read as a one-sample grid.
+    A sample of a pair grid goes through the PairState constructor,
+    which keeps its exact-coincidence check.
     """
 
     positions: np.ndarray
@@ -141,29 +139,36 @@ class PlaneState:
 
 
 class _StateGrid(Sequence):
-    """Read-only sequence of PlaneStates over two checked (m, n, 2) arrays.
+    """Read-only sequence of states over two checked (m, p, 2) arrays.
 
     Sample i is a PlaneState._checked view of positions[i] and
     velocities[i], made when it is read, so a grid of m samples holds two
-    arrays rather than m objects.  Indexing, negative indices, slices
-    and iteration behave as on a list of those states.
+    arrays rather than m objects.  A pair grid holds the plane states of
+    2n particles, the plus family before the minus family, and its
+    sample i is the PairState of the two halves.  Indexing, negative
+    indices, slices and iteration behave as on a list of those states.
     """
 
-    __slots__ = ("positions", "velocities")
+    __slots__ = ("positions", "velocities", "pair")
 
-    def __init__(self, positions: np.ndarray, velocities: np.ndarray):
+    def __init__(self, positions: np.ndarray, velocities: np.ndarray, pair: bool = False):
         positions.setflags(write=False)
         velocities.setflags(write=False)
         self.positions = positions
         self.velocities = velocities
+        self.pair = pair
 
     def __len__(self) -> int:
         return self.positions.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _StateGrid(self.positions[i], self.velocities[i])
-        return PlaneState._checked(self.positions[i], self.velocities[i])
+            return _StateGrid(self.positions[i], self.velocities[i], self.pair)
+        pos, vel = self.positions[i], self.velocities[i]
+        if not self.pair:
+            return PlaneState._checked(pos, vel)
+        n = pos.shape[0] // 2
+        return PairState(PlaneState._checked(pos[:n], vel[:n]), PlaneState._checked(pos[n:], vel[n:]))
 
 
 @dataclass(frozen=True)
@@ -247,6 +252,17 @@ class PairState:
     @property
     def n(self) -> int:
         return self.plus.n
+
+
+def _stacked(state) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, velocities) of a PlaneState, or of a PairState as the
+    plane state of its 2n particles, plus family first."""
+    if isinstance(state, PairState):
+        return (
+            np.concatenate([state.plus.positions, state.minus.positions]),
+            np.concatenate([state.plus.velocities, state.minus.velocities]),
+        )
+    return state.positions, state.velocities
 
 
 def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> None:
@@ -356,17 +372,6 @@ def rhs_complex(c: CouplingSpec, s: ComplexState) -> np.ndarray:
         raise OriginError("complex state is inside the origin guard")
     f = s.zdot / s.z
     return s.zdot * f + s.z * (alpha_matrix(c) @ f)
-
-
-def couplings_at(c: CouplingSpec, g: GeneralizedParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating, exponentially scaled couplings of the generalized model:
-    the real and imaginary parts of alpha e^{(lam + i omega) t}."""
-    cw = np.cos(g.omega * t)
-    sw = np.sin(g.omega * t)
-    el = np.exp(g.lam * t)
-    beta_t = (c.beta * cw - c.gamma * sw) * el
-    gamma_t = (c.gamma * cw + c.beta * sw) * el
-    return beta_t, gamma_t
 
 
 def rhs_generalized(c: CouplingSpec, g: GeneralizedParams, t: float, s: PlaneState) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Spectrum classification, rational periods and empirical period detection."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,20 @@ def test_detect_period_is_scale_invariant(scale):
             assert got == want
         else:
             assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("unit", [1e-160, 1.0, 1e160])
+def test_detect_period_in_any_time_unit(unit):
+    # the same circle with times scaled by unit and velocities by 1/unit;
+    # at 1e-160 an acceleration formed at 1/dt overflows when squared
+    traj = _circle_trajectory()
+    scaled = Trajectory(unit * traj.times, traj.positions, traj.velocities / unit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eigenvalues in ([1j / unit], None):
+            got = detect_period(scaled, eigenvalues=eigenvalues)
+            assert got is not None
+            assert abs(got - TWO_PI * unit) <= 1e-12 * TWO_PI * unit
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

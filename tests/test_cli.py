@@ -279,6 +279,26 @@ def test_solve_velocity_overflow_exits_1_with_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_solve_pair_collision_exits_1_with_one_error_line(tmp_path, capsys):
+    # the pair difference decays as exp(-40 t) and the families coincide
+    # exactly near t = 1, long before the exponent leaves the range
+    data = _basic_scenario()
+    data["variant"] = "pair"
+    data["beta"] = [[0.0]]
+    data["gamma"] = [[0.0]]
+    data["initial"] = [[1.0, 1.0, -20.0, 0.0], [0.0, 1.0, 20.0, 0.0]]
+    data["pair_params"] = {"Lambda": [0.0], "Omega": [0.0]}
+    data["integrator"] = {"t_span": [0.0, 20.0], "samples": 201}
+    path = _write_scenario(tmp_path, data)
+    rc = main(["solve", "--scenario", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR PairCollision: ")
+    assert "Traceback" not in err
+
+
 def test_demo_integrates_once(tmp_path, monkeypatch):
     import planebody.cli as cli
 

@@ -561,16 +561,24 @@ def test_exact_states_sequence_acts_like_a_list():
         states[0] = listed[0]
 
 
-@pytest.mark.parametrize("g", [None, GeneralizedParams(0.0, 1.3), GeneralizedParams(0.2, 0.9)])
+@pytest.mark.parametrize("g", [None, GeneralizedParams(0.0, 1.3), GeneralizedParams(0.2, 0.9), "pair"])
 def test_trajectory_from_exact_states_matches_per_sample_loop(g):
+    from planebody.exact import _pair_states
+
     rng = np.random.default_rng(46)
-    sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
     times = np.linspace(-1.0, 3.0, 41)
-    states = exact_states(sol, times, g=g)
+    pair = g == "pair"
+    if pair:
+        # the pair grid, and its PairStates restacked plus family first
+        states = _pair_states(pair_solve(*_pair_case(rng, 3)), times)
+    else:
+        sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+        states = exact_states(sol, times, g=g)
     got = trajectory_from_states(times, states)
-    want = trajectory_from_states(times, list(states))  # stacked one sample at a time
+    want = trajectory_from_states(times, list(states), pair=pair)  # stacked one sample at a time
+    assert got.pair == want.pair == pair
     for a, b in ((got.positions, want.positions), (got.velocities, want.velocities)):
-        assert a.shape == b.shape == (41, 3, 2)
+        assert a.shape == b.shape == (41, 6 if pair else 3, 2)
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 def _pair_case(rng, n):
@@ -626,6 +634,25 @@ def test_pair_grid_exact_coincidence_raises_before_later_blowup():
         _pair_states(ps, np.linspace(0.0, 20.0, 201))
     with pytest.raises(BlowupError):
         eval_pair_solution(ps, 20.0)
+
+
+def test_pair_grid_coincidence_reports_first_coinciding_time():
+    from planebody.errors import PairCollisionError
+    from planebody.exact import _pair_states
+
+    ps = _collapsing_pair()
+    times = np.linspace(0.0, 20.0, 201)
+    first = None
+    for t in times:
+        try:
+            eval_pair_solution(ps, float(t))
+        except PairCollisionError:
+            first = float(t)
+            break
+    assert first is not None and 0.0 < first < 17.5
+    with pytest.raises(PairCollisionError) as info:
+        _pair_states(ps, times)
+    assert info.value.time == first
 
 
 def test_pair_family_overflow_raises_blowup():

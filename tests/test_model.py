@@ -21,7 +21,7 @@ from planebody import (
     to_complex,
     zero_couplings,
 )
-from planebody.model import ORIGIN_GUARD_RATIO, _accelerations, check_origin_guard, couplings_at
+from planebody.model import ORIGIN_GUARD_RATIO, _accelerations, check_origin_guard
 
 from _util import random_couplings, random_state
 
@@ -150,16 +150,6 @@ def test_rhs_generalized_reduces_to_base():
     s = random_state(rng, 3)
     g = GeneralizedParams(0.0, 0.0)
     assert np.array_equal(rhs_generalized(c, g, 1.7, s), rhs_base(c, s))
-
-
-def test_couplings_at_quarter_period():
-    c = CouplingSpec([[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.2], [0.3, 0.4]])
-    g = GeneralizedParams(lam=0.5, omega=2.0)
-    t = np.pi / 4.0  # omega*t = pi/2: cos -> 0, sin -> 1
-    beta_t, gamma_t = couplings_at(c, g, t)
-    el = np.exp(0.5 * t)
-    assert np.allclose(beta_t, -c.gamma * el, atol=1e-12)
-    assert np.allclose(gamma_t, c.beta * el, atol=1e-12)
 
 
 def test_rhs_pair_splits_center_and_difference():
