@@ -11,7 +11,8 @@ Subcommands:
     demo       write a built-in scenario file, then run the full pipeline
 
 Exit codes: 0 success, 1 runtime/model failure, 2 configuration or usage
-failure.  Failures print a single ``ERROR <code>: <detail>`` line to stderr.
+failure, an output directory or file that cannot be written included.
+Failures print a single ``ERROR <code>: <detail>`` line to stderr.
 Data files are deterministic; timing goes to stdout only.
 """
 from __future__ import annotations
@@ -123,12 +124,8 @@ def _exact_trajectory(sc: Scenario) -> Trajectory:
 def _numeric_trajectory(sc: Scenario) -> Trajectory:
     """Integrate sc with its built-in force law, which the integrator
     evaluates on its stage vectors in place (no state object per stage)."""
-    if sc.variant == "pair":
-        force = _PairForce(sc.pair)
-    elif sc.variant == "generalized":
-        force = _PlaneForce(sc.couplings, sc.generalized)
-    else:
-        force = _PlaneForce(sc.couplings)
+    # sc.generalized is None for the base variant
+    force = _PairForce(sc.pair) if sc.variant == "pair" else _PlaneForce(sc.couplings, sc.generalized)
     return integrate(force, sc.initial, sc.integrator)
 
 
@@ -312,6 +309,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output directory or file that cannot be made
+        print(f"ERROR {ScenarioError.code}: {exc}", file=sys.stderr)
         return 2
     except PlanebodyError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)

@@ -29,12 +29,12 @@ from .model import (
     ComplexState,
     CouplingSpec,
     GeneralizedParams,
-    ORIGIN_GUARD_RATIO,
     PairSpec,
     PairState,
     PlaneState,
     _StateGrid,
     alpha_matrix,
+    check_origin_guard,
     perp,
     to_complex,
 )
@@ -173,9 +173,7 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     """
     if c.n != initial.n:
         raise ValueError(f"coupling size {c.n} does not match state size {initial.n}")
-    absz = np.abs(initial.z)
-    if float(np.min(absz)) < ORIGIN_GUARD_RATIO * float(np.max(absz)):
-        raise OriginError("initial state is inside the origin guard")
+    check_origin_guard(None, r2=(initial.z * initial.z.conj()).real)
     f0 = initial.zdot / initial.z
     a = alpha_matrix(c)
     w, v, cond = linalg._eig_raw(a)
@@ -361,13 +359,17 @@ class PairSolution:
 
 
 def pair_solve(p: PairSpec, initial: PairState) -> PairSolution:
-    diff = PlaneState(
-        initial.plus.positions - initial.minus.positions,
-        initial.plus.velocities - initial.minus.velocities,
-    )
-    rel = spectral_solve(p.base, to_complex(diff))
-    sums = initial.plus.positions + initial.minus.positions
-    sumv = initial.plus.velocities + initial.minus.velocities
+    """Spectral data of the differences and center data of the sums.
+
+    Raises BlowupError (at t = 0) when a difference or sum of the two
+    families overflows."""
+    plus, minus = initial.plus, initial.minus
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        diffs = (plus.positions - minus.positions, plus.velocities - minus.velocities)
+        sums, sumv = plus.positions + minus.positions, plus.velocities + minus.velocities
+    if not all(np.isfinite(a).all() for a in (*diffs, sums, sumv)):
+        raise BlowupError("a plus/minus difference or sum overflows at t = 0.0", time=0.0)
+    rel = spectral_solve(p.base, to_complex(PlaneState(*diffs)))
     center = CenterSolution(
         z0=sums[:, 0] + 1j * sums[:, 1],
         zdot0=sumv[:, 0] + 1j * sumv[:, 1],
@@ -482,6 +484,8 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
 
 
 def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False) -> _StateGrid:
-    """The checked (p, m) complex grids z and z' as (m, p, 2) state arrays."""
-    pos, vel = (np.stack([a.real.T, a.imag.T], axis=2) for a in (z, zdot))
+    """The checked (p, m) complex grids z and z' as C-ordered (m, p, 2)
+    state arrays."""
+    p, m = z.shape
+    pos, vel = (np.ascontiguousarray(a.T).view(np.float64).reshape(m, p, 2) for a in (z, zdot))
     return _StateGrid(pos, vel, pair)

@@ -269,6 +269,14 @@ def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> Non
     """Reject states with a particle within 1e-12 of the origin, relative
     to the largest particle radius at the same instant.
 
+    This is the one place the package decides the origin guard: the force
+    kernel runs it per evaluation, the integrator per stage of a user's
+    rhs, and the closed form on its initial state (rhs_complex keeps its
+    own test as the independent reference).  Being relative to the
+    largest radius, it is scale-free like the force law (homogeneous of
+    degree one), and it couples the particles on purpose: one escaping
+    particle can put a well-separated one inside the guard.
+
     r2, when given, holds the squared radii the caller already computed
     (positions is then not read).  The test is min r2 < RATIO**2 * max r2,
     with square roots taken only to format the error, which reports the

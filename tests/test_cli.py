@@ -506,3 +506,56 @@ def test_cli_ends_in_a_result_or_one_error_line(data, command):
     else:
         assert rc in (1, 2)
         assert len(lines) == 1 and lines[0].startswith("ERROR ")
+
+
+@pytest.mark.parametrize("name", ["damped", "pair"])
+def test_cli_route_guards_once_per_force_evaluation(monkeypatch, name):
+    import importlib
+
+    import planebody.model as model
+
+    # the package exports the integrate function under the submodule's name
+    integrate_module = importlib.import_module("planebody.integrate")
+    calls = []
+    real = model.check_origin_guard
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (model, integrate_module):
+        monkeypatch.setattr(module, "check_origin_guard", counting)
+    traj = _numeric_trajectory(scenario_from_dict(builtin_scenarios()[name]))
+    assert len(calls) == traj.metadata["stats"]["rhs_evaluations"]
+
+
+@pytest.mark.parametrize("command", ["solve", "demo"])
+def test_out_dir_naming_a_file_exits_2_with_one_error_line(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if command == "demo":
+        argv = ["demo", "circle"]
+    else:
+        argv = ["solve", "--scenario", _write_scenario(tmp_path, _basic_scenario())]
+    rc = main(argv + ["--out-dir", str(blocker)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ConfigError: ")
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_solve_pair_with_huge_opposite_families_exits_1_with_one_error_line(tmp_path, capsys):
+    # the families' difference 2e308 is past the float64 range
+    data = _basic_scenario()
+    data["variant"] = "pair"
+    data["beta"] = [[0.0]]
+    data["gamma"] = [[0.0]]
+    data["pair_params"] = {"Lambda": [0.0], "Omega": [0.0]}
+    data["initial"] = [[1e308, 0.0, 0.0, 1.0], [-1e308, 0.0, 0.0, -1.0]]
+    path = _write_scenario(tmp_path, data)
+    rc = main(["solve", "--scenario", path, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ")

@@ -671,3 +671,37 @@ def test_pair_family_overflow_raises_blowup():
         _pair_states(ps, np.linspace(0.0, 2.0, 201))
     assert 1.7 < info.value.time < 1.75
     assert "plus/minus state overflows" in str(info.value)
+
+
+def test_spectral_solve_guard_names_the_particle_and_scale():
+    # particle 2 at relative radius 1e-13 of the largest radius, 2
+    initial = ComplexState(np.array([1.0, 2e-13j, 2.0]), np.zeros(3))
+    with pytest.raises(OriginError, match=r"particle 2 radius 2\.000e-13 .*scale 2\.000e\+00"):
+        spectral_solve(zero_couplings(3), initial)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_trajectory_arrays_from_grids_are_c_ordered(monkeypatch, pair):
+    import planebody.exact as exact
+
+    grids = []
+    real = exact._state_grid
+
+    def capturing(z, zdot, pair=False):
+        grids.append((z, zdot))
+        return real(z, zdot, pair)
+
+    monkeypatch.setattr(exact, "_state_grid", capturing)
+    rng = np.random.default_rng(58)
+    times = np.linspace(-1.0, 3.0, 41)
+    if pair:
+        states = exact._pair_states(pair_solve(*_pair_case(rng, 3)), times)
+    else:
+        sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+        states = exact_states(sol, times, g=GeneralizedParams(0.2, 0.9))
+    traj = trajectory_from_states(times, states)
+    [(z, zdot)] = grids
+    for got, a in ((traj.positions, z), (traj.velocities, zdot)):
+        want = np.stack([a.real.T, a.imag.T], axis=2)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

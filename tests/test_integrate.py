@@ -294,3 +294,30 @@ def test_overflowing_stage_never_reaches_rhs():
     with pytest.raises(OriginCollisionError, match="non-finite stage state"):
         integrate(rhs, s0, cfg)
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_unguarded_custom_law_trips_the_guard_at_the_crossing(pair):
+    # a = -5v does not guard the origin itself; particle 1 (for pairs, the
+    # difference of pair 1, while every family radius stays near 1 or
+    # above) still collapses as exp(-5t) next to a resting one, and the
+    # stage's guard finds the crossing of the 1e-12 ratio near t = ln(1e12)/5
+    cfg = IntegratorConfig(t_span=(0.0, 6.5), sample_count=11)
+    if pair:
+        s0 = PairState(plus=PlaneState([[0.5, 1.0], [3.0, 1.0]], [[-2.5, 0.0], [0.0, 0.0]]),
+                       minus=PlaneState([[-0.5, 1.0], [3.0, -1.0]], [[2.5, 0.0], [0.0, 0.0]]))
+        rhs = lambda t, s: (-5.0 * s.plus.velocities, -5.0 * s.minus.velocities)
+    else:
+        s0 = PlaneState([[1.0, 0.0], [0.0, 1.0]], [[-5.0, 0.0], [0.0, 0.0]])
+        rhs = lambda t, s: -5.0 * s.velocities
+    with pytest.raises(OriginCollisionError) as info:
+        integrate(rhs, s0, cfg)
+    assert info.value.time == pytest.approx(math.log(1e12) / 5.0, abs=0.3)
+
+
+def test_custom_law_on_a_guarded_initial_state():
+    s0 = PlaneState([[1e-14, 0.0], [1.0, 0.0]], np.zeros((2, 2)))
+    cfg = IntegratorConfig(t_span=(0.5, 1.0), sample_count=3)
+    with pytest.raises(OriginCollisionError, match="initial state is inside the singularity guard") as info:
+        integrate(lambda t, s: np.zeros((2, 2)), s0, cfg)
+    assert info.value.time == 0.5
