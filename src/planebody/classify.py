@@ -306,7 +306,7 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
         raise InsufficientSpanError(f"{m} samples cannot confirm any period")
     if traj.times[-1] < traj.times[0]:
         # a decreasing grid holds the same motion: detect on it in time order
-        traj = Trajectory(traj.times[::-1], traj.positions[::-1], traj.velocities[::-1], traj.pair)
+        traj = traj[::-1]
     dt = float(traj.times[1] - traj.times[0])
     steps = np.diff(traj.times)
     if np.max(np.abs(steps - dt)) > 1e-9 * abs(dt):

@@ -29,7 +29,7 @@ import numpy as np
 from . import exact, linalg
 from .classify import classify, detect_period, rational_period
 from .errors import InsufficientSpanError, PlanebodyError, ScenarioError, ValidationError
-from .integrate import Trajectory, compare, integrate, trajectory_from_states
+from .integrate import Trajectory, compare, integrate
 from .model import _PairForce, _PlaneForce, alpha_matrix, to_complex
 # Not called here any more: perfbench/tracing.py wraps these names on this
 # module, so they stay importable from it until the tracer follows the
@@ -106,19 +106,12 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     return dataclasses.replace(sc, integrator=cfg)
 
 
-def _sample_times(sc: Scenario) -> np.ndarray:
-    t0, t1 = sc.integrator.t_span
-    return np.linspace(t0, t1, sc.integrator.sample_count)
-
-
 def _exact_trajectory(sc: Scenario) -> Trajectory:
-    times = _sample_times(sc)
+    times = sc.integrator.sample_times()
     if sc.variant == "pair":
-        states = exact._pair_states(exact.pair_solve(sc.pair, sc.initial), times)
-    else:
-        sol = exact.spectral_solve(sc.couplings, to_complex(sc.initial))
-        states = exact.exact_states(sol, times, g=sc.generalized)
-    return trajectory_from_states(times, states)
+        return exact._pair_states(exact.pair_solve(sc.pair, sc.initial), times)
+    sol = exact.spectral_solve(sc.couplings, to_complex(sc.initial))
+    return exact.exact_states(sol, times, g=sc.generalized)
 
 
 def _numeric_trajectory(sc: Scenario) -> Trajectory:

@@ -18,13 +18,13 @@ pair sums and for pure similarity motions round out the module.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DefectiveMatrixError, BlowupError, OriginError, PairCollisionError
+from .integrate import Trajectory
 from .model import (
     ComplexState,
     CouplingSpec,
@@ -32,7 +32,6 @@ from .model import (
     PairSpec,
     PairState,
     PlaneState,
-    _StateGrid,
     alpha_matrix,
     check_origin_guard,
     perp,
@@ -170,11 +169,17 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     matrix is accepted only when that vector is representable in the
     span of its eigenvectors (e.g. similarity initial data on a
     rank-deficient matrix); anything else raises DefectiveMatrixError.
+    Initial log-derivatives that overflow raise BlowupError at t = 0.
     """
     if c.n != initial.n:
         raise ValueError(f"coupling size {c.n} does not match state size {initial.n}")
     check_origin_guard(None, r2=(initial.z * initial.z.conj()).real)
-    f0 = initial.zdot / initial.z
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        f0 = initial.zdot / initial.z
+    finite = np.isfinite(f0)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise BlowupError(f"particle {j + 1} log-derivative z'/z overflows at t = 0.0", time=0.0)
     a = alpha_matrix(c)
     w, v, cond = linalg._eig_raw(a)
     if cond > linalg.DEFECT_THRESHOLD:
@@ -220,8 +225,8 @@ def _eval_grid(sol: SpectralSolution, s: np.ndarray, t: np.ndarray, dsdt=None):
 
 def _grid_values(sol: SpectralSolution, s: np.ndarray, dsdt=None):
     """Exponent, z and z' as (n, m) arrays, not yet checked."""
-    at = np.multiply.outer(sol.eigenvalues, s)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
+        at = np.multiply.outer(sol.eigenvalues, s)
         exponent = sol.coefficients @ (s * phi1(at))
         z = sol.z0[:, None] * _cexp(exponent)
         zdot = (sol.coefficients @ _cexp(at)) * z
@@ -383,9 +388,10 @@ def eval_pair_solution(ps: PairSolution, t: float) -> PairState:
     return _pair_states(ps, np.array([t], dtype=np.float64))[0]
 
 
-def _pair_states(ps: PairSolution, times) -> _StateGrid:
-    """Closed-form states of the doubled system over a time grid, as a
-    pair grid of the 2n particles, plus family first.
+def _pair_states(ps: PairSolution, times) -> Trajectory:
+    """Closed-form states of the doubled system over a strictly
+    monotone time grid, as the pair Trajectory of the 2n particles, plus
+    family first.
 
     The relative part is one grid of _eval_grid's values and the centre
     part one (n, m) expression.  Samples are checked in time order, and
@@ -412,7 +418,7 @@ def _pair_states(ps: PairSolution, times) -> _StateGrid:
         raise BlowupError(f"a plus/minus state overflows at t = {tk}", time=tk)
     if bad < t.size:
         _raise_failure(bad, exponent, rel, reldot, t)
-    return _state_grid(z, zdot, pair=True)
+    return Trajectory(t, *_state_grid(z, zdot, pair=True))
 
 
 def eval_pair(p: PairSpec, initial: PairState, t: float) -> PairState:
@@ -455,37 +461,45 @@ def similarity_trajectory(spec: SimilaritySpec, t: float) -> PlaneState:
 
 
 def row_sums_zero(c: CouplingSpec, tol: float | None = None) -> bool:
-    """True when every row of beta + i gamma sums to zero (similarity condition)."""
-    a = alpha_matrix(c)
+    """True when every row of beta + i gamma sums to zero (similarity condition).
+
+    Couplings of magnitude one or more are first scaled down by a power
+    of two, which is exact and keeps the sums finite for any finite input.
+    """
+    big = max(float(np.max(np.abs(c.beta))), float(np.max(np.abs(c.gamma))))
+    unit = 2.0 ** -max(math.frexp(big)[1], 0)
+    a = alpha_matrix(c) * unit
     sums = np.abs(a @ np.ones(c.n))
     scale = float(np.max(np.abs(a)))
-    if tol is None:
-        tol = max(1e-9 * scale, 1e-12)
+    tol = max(1e-9 * scale, 1e-12 * unit) if tol is None else tol * unit
     return bool(np.max(sums) <= tol)
 
 
-def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Sequence[PlaneState]:
-    """Real-coordinate states over a time grid (base or generalized model).
+def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Trajectory:
+    """Real-coordinate states over a strictly monotone time grid (base
+    or generalized model), as the Trajectory of those times.
 
     The whole grid is evaluated as one (n, m) array expression; a
     blow-up anywhere on it raises for the first failing sample.  Having
-    checked every value there, the result is a read-only sequence backed
-    by the two frozen (m, n, 2) arrays: it makes no object per sample,
-    and a sample read from it is a read-only PlaneState view, not a copy
-    checked again.  trajectory_from_states takes the arrays from it
-    directly.
+    checked every value there, the Trajectory adopts the two frozen
+    (m, n, 2) arrays without a copy: it makes no object per sample, and
+    a sample read from it is a read-only PlaneState view, not a copy
+    checked again.
     """
     t = np.asarray(times, dtype=np.float64)
     if g is None or (g.lam == 0.0 and g.omega == 0.0):
         z, zdot = _eval_grid(sol, t, t)
     else:
         z, zdot = _generalized_grid(sol, g, t)
-    return _state_grid(z, zdot)
+    return Trajectory(t, *_state_grid(z, zdot))
 
 
-def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False) -> _StateGrid:
-    """The checked (p, m) complex grids z and z' as C-ordered (m, p, 2)
-    state arrays."""
+def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False):
+    """The checked (p, m) complex grids z and z' as frozen, C-ordered
+    (m, p, 2) state arrays, followed by the pair flag: the arguments of
+    a Trajectory after its times."""
     p, m = z.shape
     pos, vel = (np.ascontiguousarray(a.T).view(np.float64).reshape(m, p, 2) for a in (z, zdot))
-    return _StateGrid(pos, vel, pair)
+    pos.setflags(write=False)
+    vel.setflags(write=False)
+    return pos, vel, pair

@@ -13,8 +13,10 @@ origin guard (`model.check_origin_guard`) runs once per force
 evaluation, inside the stage: the built-in force laws run it in their
 kernel, and a user's rhs is called only after it has run on the
 positions, or on the plus/minus differences of a pair state.  A tripped
-stage halves the step like a non-finite one.  An accepted step needs no
-check of its own: its solution is the input of its last stage.
+stage halves the step like a non-finite one, except at the initial
+state, where a guard trip is an OriginCollision and a non-finite
+derivative an Overflow.  An accepted step needs no check of its own:
+its solution is the input of its last stage.
 
 The state is packed into one float64 stage vector: every position, then
 every velocity, as (x, y) pairs.  A pair state is packed as the plane
@@ -25,13 +27,15 @@ of its derivative row and has the force law fill the second half in
 place, then checks those accelerations for finiteness.  The built-in
 force laws (`model._PlaneForce` and `model._PairForce`, which the CLI
 passes) do that on complex views of the two halves with no per-stage
-object; any other rhs(t, state) is called on the stage vector read as
-a one-sample `_StateGrid`, a read-only PlaneState or PairState view.
-Both go through the same stepping loop.
+object; any other rhs(t, state) is called on the stage vector read
+through `model._state_view`, as a read-only PlaneState or PairState
+view.  Both go through the same stepping loop, and the samples come
+back as a `Trajectory` over the frozen output buffer.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +48,7 @@ from .errors import (
     PairCollisionError,
     StepUnderflowError,
 )
-from .model import PairState, PlaneState, _PairForce, _PlaneForce, _StateGrid, _stacked, check_origin_guard
+from .model import PairState, _PairForce, _PlaneForce, _stacked, _state_view, check_origin_guard
 
 OVERFLOW_LIMIT = 1e150
 
@@ -78,7 +82,8 @@ _DP_E = np.array(
 class IntegratorConfig:
     """Tolerances, step-size limits, time span and output sampling.
 
-    h_max = None caps the step at the output sample spacing.
+    h_max = None caps the step at the output sample spacing.  The
+    sample times must be distinct and ordered in floating point.
     """
 
     rtol: float = 1e-9
@@ -103,6 +108,17 @@ class IntegratorConfig:
         object.__setattr__(self, "sample_count", int(self.sample_count))
         if self.h_max is not None and not self.h_max > 0.0:
             raise ValueError("h_max must be positive when given")
+        if not np.all(np.diff(self.sample_times()) * math.copysign(1.0, t1 - t0) > 0.0):
+            raise ValueError(
+                f"t_span {list(self.t_span)} does not hold {self.sample_count} distinct sample times"
+            )
+
+    def sample_times(self) -> np.ndarray:
+        """The output grid: sample_count equally spaced times over
+        t_span, endpoints included (the last one exactly t_span[1])."""
+        t0, t1 = self.t_span
+        with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows fails validation
+            return np.linspace(t0, t1, self.sample_count)
 
     def effective_h_max(self) -> float:
         if self.h_max is not None:
@@ -112,10 +128,16 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Sequence):
     """Sampled motion: strictly monotone times, (m, p, 2) position and
     velocity arrays.  Pair runs stack the plus family before the minus
-    family, so p = 2n there."""
+    family, so p = 2n there.  Read-only float64 arrays are kept as they
+    are; anything else is copied and frozen.
+
+    A read-only sequence of at least one sample: an index reads a sample
+    as a PlaneState or PairState view (`model._state_view`), a slice is
+    the Trajectory of those samples.
+    """
 
     times: np.ndarray
     positions: np.ndarray
@@ -124,9 +146,11 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64)
-        pos = np.array(self.positions, dtype=np.float64)
-        vel = np.array(self.velocities, dtype=np.float64)
+        times, pos, vel = (
+            a if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+            else np.array(a, dtype=np.float64)
+            for a in (self.times, self.positions, self.velocities)
+        )
         if times.ndim != 1 or len(times) < 1:
             raise ValueError("times must be a non-empty 1-d array")
         d = np.diff(times)
@@ -144,14 +168,18 @@ class Trajectory:
     def n_particles(self) -> int:
         return self.positions.shape[1]
 
+    def __len__(self) -> int:
+        return self.times.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(
+                self, times=self.times[i], positions=self.positions[i], velocities=self.velocities[i]
+            )
+        return _state_view(self.positions[i], self.velocities[i], self.pair)
+
     def state_at(self, i: int):
-        if not self.pair:
-            return PlaneState(self.positions[i], self.velocities[i])
-        n = self.n_particles // 2
-        return PairState(
-            plus=PlaneState(self.positions[i, :n], self.velocities[i, :n]),
-            minus=PlaneState(self.positions[i, n:], self.velocities[i, n:]),
-        )
+        return self[i]
 
 
 class _GuardTrip(Exception):
@@ -199,14 +227,14 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         stage = rhs.stage
     else:
         def stage(t, y, out):
-            state = _StateGrid(*y.reshape(2, 1, -1, 2), pair)[0]
+            state = _state_view(*y.reshape(2, -1, 2), pair)
             check_origin_guard(state.plus.positions - state.minus.positions if pair else state.positions)
             out[:] = np.asarray(rhs(t, state), dtype=np.float64).reshape(out.shape)
 
     t0, t1 = cfg.t_span
     direction = 1.0 if t1 > t0 else -1.0
     m = cfg.sample_count
-    samples = np.linspace(t0, t1, m)
+    samples = cfg.sample_times()
     h_max = cfg.effective_h_max()
 
     pos, vel = _stacked(s0)
@@ -293,10 +321,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
             factor = max(0.2, 0.9 * err ** -0.2)
         h = direction * min(abs(h) * factor, h_max)
 
-    while next_sample < m:
-        out[next_sample] = y
-        next_sample += 1
-
+    out.setflags(write=False)  # the last step ended at t1: every sample is written
     return Trajectory(
         times=samples,
         positions=out[:, :half].reshape(m, -1, 2),
@@ -312,24 +337,31 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
 
 
 def _first_derivative(deriv, t0, y, dy):
+    """The derivative at the initial state: a guard trip there is an
+    OriginCollision, a non-finite derivative (the initial data overflow
+    the force law) an Overflow, both at t0."""
     try:
         with np.errstate(all="ignore"):  # checked by deriv
             deriv(t0, y, dy)
     except _GuardTrip as trip:
-        raise OriginCollisionError(
-            f"initial state is inside the singularity guard ({trip.cause})", time=t0
+        if isinstance(trip.cause, (OriginError, PairCollisionError)):
+            raise OriginCollisionError(
+                f"initial state is inside the singularity guard ({trip.cause})", time=t0
+            ) from trip.cause
+        raise BlowupError(
+            f"the initial state overflows the force law at t = {t0} ({trip.cause})", time=t0
         ) from trip.cause
 
 
 def trajectory_from_states(times, states, pair: bool = False, metadata: dict | None = None) -> Trajectory:
     """Assemble a Trajectory from per-sample PlaneState or PairState values.
 
-    A state grid (exact_states, the pair grid) hands over its (m, p, 2)
-    arrays and its pair flag as they are; any other sequence of states
-    is stacked sample by sample, a PairState as its 2n particles, plus
-    family first.
+    A Trajectory (exact_states, the pair grid) is re-timed: its frozen
+    (m, p, 2) arrays and its pair flag are taken as they are, not copied.
+    Any other sequence of states is stacked sample by sample, a PairState
+    as its 2n particles, plus family first.
     """
-    if isinstance(states, _StateGrid):
+    if isinstance(states, Trajectory):
         pos, vel, pair = states.positions, states.velocities, states.pair
     else:
         pos = []
@@ -339,7 +371,7 @@ def trajectory_from_states(times, states, pair: bool = False, metadata: dict | N
             pos.append(p)
             vel.append(v)
     return Trajectory(
-        times=np.asarray(times, dtype=np.float64),
+        times=times,
         positions=pos,
         velocities=vel,
         pair=pair,

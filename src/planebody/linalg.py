@@ -56,7 +56,9 @@ def _sort_order(w: np.ndarray) -> np.ndarray:
     """Indices sorting w by (real, imag); real parts within rounding count as equal."""
     by_real = np.argsort(w.real, kind="stable")
     tol = _SORT_RTOL * float(np.max(np.abs(w)))
-    group = np.concatenate([[0], np.cumsum(np.diff(w.real[by_real]) > tol)])
+    with np.errstate(over="ignore"):  # a gap that overflows is a gap
+        gaps = np.diff(w.real[by_real])
+    group = np.concatenate([[0], np.cumsum(gaps > tol)])
     return by_real[np.lexsort((w.imag[by_real], group))]
 
 

@@ -27,11 +27,13 @@ it takes a ComplexState, guards on |z| and shares no code with the
 kernel, so the tests cross-check the two.
 
 The rhs_* evaluators are pure functions of immutable inputs.
+
+A pair state is the plane state of its 2n particles, plus family
+first: `_stacked` forms that layout and `_state_view` reads it back.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,16 +100,16 @@ class PlaneState:
     A state is checked where it enters the package and wrapped, not
     checked again, everywhere after that.  The constructor copies,
     shape-checks, finiteness-checks and freezes both arrays, so user data
-    and parsed scenarios always go through it.  `_checked` stores arrays
-    that are already known to be finite float64 of shape (n, 2), with no
-    copy; its only caller is `_StateGrid`, one sample at a time as
-    samples are read, over
-      - the closed-form grids of `exact.exact_states` and
-        `exact._pair_states`, every value of which has been checked;
-      - the integrator's stage vectors (`integrate`), which are
-        isfinite-checked before they are read as a one-sample grid.
-    A sample of a pair grid goes through the PairState constructor,
-    which keeps its exact-coincidence check.
+    and parsed scenarios always go through it.  `_checked` stores float64
+    arrays of shape (n, 2) with no copy and no check; its only caller is
+    `_state_view`, one sample at a time as samples are read, over
+      - the frozen arrays of an `integrate.Trajectory`: the closed-form
+        grids, every value of which has been checked, the integrator's
+        output, or a caller's arrays, non-finite values included;
+      - the integrator's stage vectors, isfinite-checked before a
+        user's rhs reads them.
+    A pair sample goes through the PairState constructor, which keeps
+    its exact-coincidence check.
     """
 
     positions: np.ndarray
@@ -136,39 +138,6 @@ class PlaneState:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-
-class _StateGrid(Sequence):
-    """Read-only sequence of states over two checked (m, p, 2) arrays.
-
-    Sample i is a PlaneState._checked view of positions[i] and
-    velocities[i], made when it is read, so a grid of m samples holds two
-    arrays rather than m objects.  A pair grid holds the plane states of
-    2n particles, the plus family before the minus family, and its
-    sample i is the PairState of the two halves.  Indexing, negative
-    indices, slices and iteration behave as on a list of those states.
-    """
-
-    __slots__ = ("positions", "velocities", "pair")
-
-    def __init__(self, positions: np.ndarray, velocities: np.ndarray, pair: bool = False):
-        positions.setflags(write=False)
-        velocities.setflags(write=False)
-        self.positions = positions
-        self.velocities = velocities
-        self.pair = pair
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _StateGrid(self.positions[i], self.velocities[i], self.pair)
-        pos, vel = self.positions[i], self.velocities[i]
-        if not self.pair:
-            return PlaneState._checked(pos, vel)
-        n = pos.shape[0] // 2
-        return PairState(PlaneState._checked(pos[:n], vel[:n]), PlaneState._checked(pos[n:], vel[n:]))
 
 
 @dataclass(frozen=True)
@@ -252,6 +221,19 @@ class PairState:
     @property
     def n(self) -> int:
         return self.plus.n
+
+
+def _state_view(positions: np.ndarray, velocities: np.ndarray, pair: bool = False):
+    """(p, 2) float64 arrays as a read-only PlaneState view, or for a
+    pair as the PairState of the two halves, plus family first: the one
+    place the stacked layout is split into families."""
+    if not pair:
+        return PlaneState._checked(positions, velocities)
+    n = positions.shape[0] // 2
+    return PairState(
+        PlaneState._checked(positions[:n], velocities[:n]),
+        PlaneState._checked(positions[n:], velocities[n:]),
+    )
 
 
 def _stacked(state) -> tuple[np.ndarray, np.ndarray]:

@@ -559,3 +559,67 @@ def test_solve_pair_with_huge_opposite_families_exits_1_with_one_error_line(tmp_
     assert rc == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ")
+
+
+def _one_error_line(capsys, argv, code):
+    rc = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR {code}: "), lines
+    return rc
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "integrate", "compare"])
+def test_overflowing_initial_log_derivative_exits_1_with_one_overflow_line(tmp_path, capsys, command):
+    # z'/z = 1e310 is past the float64 range
+    data = _basic_scenario("steep")
+    data["beta"] = [[0.0]]
+    data["gamma"] = [[0.0]]
+    data["initial"] = [[1e-10, 0.0, 1e300, 0.0]]
+    path = _write_scenario(tmp_path, data)
+    assert _one_error_line(capsys, [command, "--scenario", path, "--out-dir", str(tmp_path)], "Overflow") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_huge_opposite_families_fail_alike_on_both_routes(tmp_path, capsys):
+    data = _basic_scenario("huge-pair")
+    data["variant"] = "pair"
+    data["beta"] = [[0.0]]
+    data["gamma"] = [[0.0]]
+    data["pair_params"] = {"Lambda": [0.0], "Omega": [0.0]}
+    data["initial"] = [[1e308, 0.0, 0.0, 1.0], [-1e308, 0.0, 0.0, -1.0]]
+    path = _write_scenario(tmp_path, data)
+    for command in ("solve", "integrate"):
+        assert _one_error_line(capsys, [command, "--scenario", path, "--out-dir", str(tmp_path)], "Overflow") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "integrate", "compare", "classify"])
+def test_repeated_sample_times_exit_2_with_one_validation_line(tmp_path, capsys, command):
+    data = _basic_scenario("flat")
+    data["integrator"] = {"t_span": [0.0, 1e-320], "samples": 5000}
+    path = _write_scenario(tmp_path, data)
+    argv = [command, "--scenario", path, "--out-dir", str(tmp_path)]
+    assert _one_error_line(capsys, argv, "ValidationError") == 2
+    data["integrator"]["samples"] = 2  # distinct; the override repeats them
+    path = _write_scenario(tmp_path, data)
+    assert _one_error_line(capsys, argv + ["--samples", "5000"], "ValidationError") == 2
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "integrate", "compare", "classify"])
+@pytest.mark.parametrize("beta, gamma", [
+    ([[1e308, 0.0], [0.0, -1e308]], [[1e308, 0.0], [0.0, -1e308]]),  # eigenvalue gaps overflow
+    ([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]], [[1.7e308, -1.7e308], [1.7e308, 1.7e308]]),  # row sums
+])
+def test_huge_couplings_print_at_most_one_error_line(tmp_path, capsys, command, beta, gamma):
+    data = _basic_scenario("huge")
+    data["beta"] = beta
+    data["gamma"] = gamma
+    path = _write_scenario(tmp_path, data)
+    rc = main([command, "--scenario", path, "--out-dir", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    if command == "classify":
+        assert rc == 0 and lines == []
+    else:
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("ERROR "), lines

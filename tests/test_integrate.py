@@ -321,3 +321,116 @@ def test_custom_law_on_a_guarded_initial_state():
     with pytest.raises(OriginCollisionError, match="initial state is inside the singularity guard") as info:
         integrate(lambda t, s: np.zeros((2, 2)), s0, cfg)
     assert info.value.time == 0.5
+
+
+def _pair_start(rng, n):
+    p = PairSpec(base=random_couplings(rng, n), lam=rng.standard_normal(n), omega=rng.standard_normal(n))
+    plus = random_state(rng, n)
+    minus = PlaneState(plus.positions + rng.standard_normal((n, 2)) + 2.0, 0.4 * rng.standard_normal((n, 2)))
+    return p, PairState(plus=plus, minus=minus)
+
+
+def test_closed_form_routes_return_trajectories_of_the_given_times():
+    from planebody.exact import _pair_states
+
+    rng = np.random.default_rng(61)
+    times = np.linspace(2.0, -1.0, 31)
+    sol = spectral_solve(random_couplings(rng, 3), to_complex(random_state(rng, 3)))
+    p, s0 = _pair_start(rng, 2)
+    for traj, pair, p_count in ((exact_states(sol, times), False, 3),
+                                (_pair_states(pair_solve(p, s0), times), True, 4)):
+        assert isinstance(traj, Trajectory) and traj.pair == pair
+        assert np.array_equal(traj.times, times) and len(traj) == 31
+        assert traj.positions.shape == traj.velocities.shape == (31, p_count, 2)
+        for a in (traj.times, traj.positions, traj.velocities):
+            assert not a.flags.writeable
+
+
+def test_trajectory_from_states_retimes_a_trajectory_without_copying():
+    rng = np.random.default_rng(62)
+    sol = spectral_solve(random_couplings(rng, 2), to_complex(random_state(rng, 2)))
+    times = np.linspace(0.0, 1.0, 11)
+    states = exact_states(sol, times)
+    traj = trajectory_from_states(times + 5.0, states)
+    assert np.array_equal(traj.times, times + 5.0)
+    assert np.shares_memory(traj.positions, states.positions)
+    assert np.shares_memory(traj.velocities, states.velocities)
+
+
+def test_trajectory_copies_writeable_arrays_and_adopts_frozen_ones():
+    times = np.linspace(0.0, 1.0, 4)
+    pos = np.ones((4, 2, 2))
+    vel = np.zeros((4, 2, 2))
+    traj = Trajectory(times=times, positions=pos, velocities=vel)
+    for got, given in ((traj.times, times), (traj.positions, pos), (traj.velocities, vel)):
+        assert not np.shares_memory(got, given) and not got.flags.writeable
+    pos[0, 0, 0] = 7.0
+    assert traj.positions[0, 0, 0] == 1.0 and traj.state_at(0).positions[0, 0] == 1.0
+    frozen = [a.copy() for a in (times, pos, vel)]
+    for a in frozen:
+        a.setflags(write=False)
+    adopted = Trajectory(*frozen)
+    assert all(got is a for got, a in zip((adopted.times, adopted.positions, adopted.velocities), frozen))
+
+
+def test_numeric_pair_run_reads_read_only_family_views():
+    rng = np.random.default_rng(63)
+    p, s0 = _pair_start(rng, 3)
+    traj = integrate(lambda t, s: rhs_pair(p, s), s0, IntegratorConfig(t_span=(0.0, 0.5), sample_count=21))
+    assert traj.pair and len(traj) == 21
+    for i in (0, 7, -1):
+        st = traj.state_at(i)
+        assert isinstance(st, PairState) and st.n == 3
+        for half, rows in ((st.plus, slice(0, 3)), (st.minus, slice(3, 6))):
+            for got, grid in ((half.positions, traj.positions), (half.velocities, traj.velocities)):
+                assert np.array_equal(got, grid[i, rows])
+                assert not got.flags.writeable and np.shares_memory(got, grid)
+    assert np.array_equal(traj.state_at(0).plus.positions, s0.plus.positions)
+    assert np.array_equal(traj.state_at(0).minus.velocities, s0.minus.velocities)
+
+
+def test_trajectory_slices_are_trajectories():
+    c, s0 = circle_setup()
+    traj = integrate(lambda t, s: rhs_base(c, s), s0, IntegratorConfig(t_span=(0.0, 1.0), sample_count=9))
+    for key in (slice(2, 7, 2), slice(None, None, -1), slice(5, None), slice(-3, -1)):
+        part = traj[key]
+        assert isinstance(part, Trajectory) and part.pair == traj.pair
+        assert np.array_equal(part.times, traj.times[key])
+        assert np.array_equal(part.positions, traj.positions[key])
+        assert np.array_equal(part.velocities, traj.velocities[key])
+    assert np.array_equal(traj[-1].positions, traj[8].positions)
+    assert [st.positions[0, 0] for st in traj] == list(traj.positions[:, 0, 0])
+    with pytest.raises(IndexError):
+        traj[9]
+    for empty in (slice(5, 5), slice(9, None), slice(3, 1)):
+        with pytest.raises(ValueError):
+            traj[empty]
+
+
+def test_config_rejects_sample_times_that_are_not_distinct():
+    with pytest.raises(ValueError, match="distinct"):
+        IntegratorConfig(t_span=(0.0, 1e-320), sample_count=5000)
+    with pytest.raises(ValueError, match="distinct"):
+        IntegratorConfig(t_span=(1e16, 1e16 + 4.0), sample_count=9)
+    with np.errstate(all="raise"):  # a span that overflows is rejected quietly
+        with pytest.raises(ValueError, match="distinct"):
+            IntegratorConfig(t_span=(-1e308, 1e308), sample_count=3)
+    cfg = IntegratorConfig(t_span=(1.0, -2.0), sample_count=7)
+    assert np.array_equal(cfg.sample_times(), np.linspace(1.0, -2.0, 7))
+    c, s0 = circle_setup()
+    assert np.array_equal(integrate(lambda t, s: rhs_base(c, s), s0, cfg).times, cfg.sample_times())
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_initial_derivative_is_an_overflow_at_t0():
+    from planebody.model import _PlaneForce
+
+    s0 = PlaneState([[1e-10, 0.0]], [[1e300, 0.0]])
+    cfg = IntegratorConfig(t_span=(0.5, 1.0), sample_count=3)
+    for rhs in (_PlaneForce(zero_couplings(1)), lambda t, s: rhs_base(zero_couplings(1), s)):
+        with pytest.raises(BlowupError) as info:
+            integrate(rhs, s0, cfg)
+        assert info.value.time == 0.5
+    with pytest.raises(BlowupError) as info:
+        spectral_solve(zero_couplings(1), to_complex(s0))
+    assert info.value.time == 0.0
