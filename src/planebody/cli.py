@@ -116,7 +116,7 @@ def _exact_trajectory(sc: Scenario) -> Trajectory:
 
 def _numeric_trajectory(sc: Scenario) -> Trajectory:
     """Integrate sc with its built-in force law, which the integrator
-    evaluates on its stage vectors in place (no state object per stage)."""
+    binds to its stage rows once per run (no state object per stage)."""
     # sc.generalized is None for the base variant
     force = _PairForce(sc.pair) if sc.variant == "pair" else _PlaneForce(sc.couplings, sc.generalized)
     return integrate(force, sc.initial, sc.integrator)

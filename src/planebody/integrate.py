@@ -18,19 +18,30 @@ state, where a guard trip is an OriginCollision and a non-finite
 derivative an Overflow.  An accepted step needs no check of its own:
 its solution is the input of its last stage.
 
-The state is packed into one float64 stage vector: every position, then
+The state is packed into one float64 stage row: every position, then
 every velocity, as (x, y) pairs.  A pair state is packed as the plane
 state of its 2n particles, the plus family before the minus family
-(`model._stacked`), so there is one packing.  A stage checks its vector
-for finiteness, copies the vector's velocity half into the first half
-of its derivative row and has the force law fill the second half in
-place, then checks those accelerations for finiteness.  The built-in
-force laws (`model._PlaneForce` and `model._PairForce`, which the CLI
-passes) do that on complex views of the two halves with no per-stage
-object; any other rhs(t, state) is called on the stage vector read
-through `model._state_view`, as a read-only PlaneState or PairState
-view.  Both go through the same stepping loop, and the samples come
-back as a `Trajectory` over the frozen output buffer.
+(`model._stacked`), so there is one packing.  A run allocates its
+(7, 4n) stage-input rows, its derivative rows and the buffers of its
+error norm once, and forms each stage input in place, bit for bit
+y + h * (A_i @ k[:i]).  The error norm's |y_new| also decides the 1e150
+bound and is the next step's |y|.  A run enters np.errstate once:
+every stage checks its input and its accelerations itself.
+
+A force law is bound to those rows once per run: bind(rows, acc)
+returns stage(i, t), which fills the acceleration half acc[i] of
+derivative row i from stage-input row i.  The built-in laws
+(`model._PlaneForce` and `model._PairForce`, which the CLI passes) bind
+complex views of every row; any other rhs(t, state) is bound through
+`_UserForce` to read-only PlaneState views of every row, or to the
+plus and minus views of a pair row.  So no stage takes a view, a slice
+or a reshape.  Stage i checks row i for finiteness, copies its velocity
+half into the first half of derivative row i, calls stage(i, t) and
+checks the accelerations.  Each finiteness test is x.dot(zeros): that
+is NaN when x holds an inf or a NaN and +-0 otherwise, so it decides
+exactly as np.isfinite(x).all() in one call.  There is one stepping
+loop, and the samples come back as a `Trajectory` over the frozen
+output buffer.
 """
 from __future__ import annotations
 
@@ -48,7 +59,16 @@ from .errors import (
     PairCollisionError,
     StepUnderflowError,
 )
-from .model import PairState, _PairForce, _PlaneForce, _stacked, _state_view, check_origin_guard
+from .model import (
+    PairState,
+    PlaneState,
+    _families,
+    _PairForce,
+    _PlaneForce,
+    _stacked,
+    _state_view,
+    check_origin_guard,
+)
 
 OVERFLOW_LIMIT = 1e150
 
@@ -188,6 +208,45 @@ class _GuardTrip(Exception):
         self.cause = cause
 
 
+class _UserForce:
+    """A user's rhs(t, state), bound to a run's rows as the built-in laws
+    are (`model._PlaneForce`): bind reads every stage row once, as a
+    read-only PlaneState view or as the plus and minus views of a pair
+    state, and returns stage(i, t).  That builds a pair row's PairState
+    (its exact-coincidence check), runs the origin guard on the positions
+    or the pair differences, calls rhs and copies its accelerations into
+    acc[i].  rhs sees a view of the run's row, valid during the call."""
+
+    def __init__(self, rhs, pair: bool):
+        self.rhs = rhs
+        self.pair = pair
+
+    def bind(self, rows: np.ndarray, acc: np.ndarray):
+        rhs = self.rhs
+        shape = acc.shape[1:]
+        halves = [row.reshape(2, -1, 2) for row in rows]
+        if self.pair:
+            families = [_families(pos, vel) for pos, vel in halves]
+            diff = np.empty_like(families[0][0].positions)
+
+            def state(i):
+                plus, minus = families[i]
+                s = PairState(plus, minus)
+                check_origin_guard(np.subtract(plus.positions, minus.positions, out=diff))
+                return s
+        else:
+            planes = [PlaneState._checked(pos, vel) for pos, vel in halves]
+
+            def state(i):
+                check_origin_guard(planes[i].positions)
+                return planes[i]
+
+        def stage(i: int, t: float) -> None:
+            acc[i] = np.asarray(rhs(t, state(i)), dtype=np.float64).reshape(shape)
+
+        return stage
+
+
 def _hermite(y0, f0, y1, f1, h, theta):
     t2 = theta * theta
     t3 = t2 * theta
@@ -208,9 +267,10 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         For a PlaneState start: rhs(t, state) -> (n, 2) accelerations.
         For a PairState start: rhs(t, state) -> (plus, minus) pair of
         (n, 2) acceleration arrays.  Each stage hands rhs a read-only
-        view of the stage vector.  The built-in force laws
-        (`model._PlaneForce`, `model._PairForce`) instead write their
-        accelerations straight into the stage derivative.
+        view of the run's stage row, valid during the call.  The
+        built-in force laws (`model._PlaneForce`, `model._PairForce`)
+        instead write their accelerations straight into the stage
+        derivative.
     s0 : PlaneState or PairState
         Initial condition at t_span[0].
     cfg : IntegratorConfig
@@ -224,12 +284,9 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     if isinstance(rhs, (_PlaneForce, _PairForce)):
         if rhs.pair != pair or rhs.n != s0.n:
             raise ValueError(f"the force law does not fit the initial state ({s0.n} particles)")
-        stage = rhs.stage
+        force = rhs
     else:
-        def stage(t, y, out):
-            state = _state_view(*y.reshape(2, -1, 2), pair)
-            check_origin_guard(state.plus.positions - state.minus.positions if pair else state.positions)
-            out[:] = np.asarray(rhs(t, state), dtype=np.float64).reshape(out.shape)
+        force = _UserForce(rhs, pair)
 
     t0, t1 = cfg.t_span
     direction = 1.0 if t1 > t0 else -1.0
@@ -238,88 +295,122 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     h_max = cfg.effective_h_max()
 
     pos, vel = _stacked(s0)
-    y = np.concatenate([pos.ravel(), vel.ravel()])
+    size = 2 * pos.size
     # every position comes before every velocity, so the velocity half
-    # of a derivative is the second half of its stage vector
-    half = y.size // 2
+    # of a derivative is the second half of its stage row
+    half = size // 2
+    # ys[i] is the input of stage i, k[i] its derivative; ys[0] holds the
+    # solution y and k[0] its derivative, copied from row 6 (the fifth-
+    # order solution, FSAL) at each accepted step
+    ys = np.empty((7, size))
+    k = np.empty((7, size))
+    ys[0, :half] = pos.ravel()
+    ys[0, half:] = vel.ravel()
+    rows = list(ys)
+    y, y_new = rows[0], rows[6]
+    velocities = [row[half:] for row in rows]
+    k_velocities = [row[:half] for row in k]
+    accelerations = [row[half:] for row in k]
+    k_prior = [k[:i] for i in range(7)]
+    stage = force.bind(ys, k[:, half:])
+    # x.dot(zeros) is NaN when x holds an inf or a NaN, else +-0: an
+    # exact finiteness test in one call
+    zeros = np.zeros(size)
+    zeros_half = zeros[:half]
 
-    def deriv(t, yv, dy):
-        """Write the derivative at stage vector yv into dy.  Checks yv and
-        the accelerations, so callers run it under np.errstate: numpy's
-        warnings would repeat these checks."""
-        if not np.isfinite(yv).all():
+    def deriv(i, t):
+        """Fill k[i] from ys[i], checking both: the run's np.errstate
+        keeps numpy from warning about what these checks report."""
+        if not math.isfinite(rows[i].dot(zeros)):
             raise _GuardTrip(t, ValueError("non-finite stage state"))
-        dy[:half] = yv[half:]
-        acc = dy[half:]
+        k_velocities[i][...] = velocities[i]
         try:
-            stage(t, yv, acc)
+            stage(i, t)
         except (OriginError, PairCollisionError) as exc:
             raise _GuardTrip(t, exc) from exc
-        if not np.isfinite(acc).all():
+        if not math.isfinite(accelerations[i].dot(zeros_half)):
             raise _GuardTrip(t, ValueError("non-finite derivative"))
 
-    out = np.empty((m, y.size))
+    out = np.empty((m, size))
     out[0] = y
     next_sample = 1
 
     naccept = 0
     nreject = 0
     nfev = 1
-    # k[0] holds the derivative at y: set here, then copied from k[6]
-    # (FSAL) at each accepted step; rejected attempts leave it alone
-    k = np.empty((7, y.size))
-    _first_derivative(deriv, t0, y, k[0])
     h = direction * min(cfg.h_init, h_max)
     t = t0
+    # the step size as a 0-d array, which numpy multiplies by faster
+    # than by a Python float (same product)
+    h_arr = np.empty(())
+    comb = np.empty(size)
+    scale = np.empty(size)
+    abs_y = np.empty(size)
+    abs_new = np.empty(size)
 
-    while (t1 - t) * direction > 0.0:
-        if abs(h) < cfg.h_min:
-            raise StepUnderflowError(
-                f"step size {abs(h):.3e} fell below h_min {cfg.h_min:.3e} at t = {t:.6g}"
-            )
-        last = abs(t1 - t) <= abs(h)
-        if last:
-            h = t1 - t
-        try:
-            with np.errstate(all="ignore"):  # checked by deriv
-                for i in range(1, 7):
-                    yi = y + h * (_DP_A[i] @ k[:i])
-                    deriv(t + _DP_C[i] * h, yi, k[i])
-                    nfev += 1
-        except _GuardTrip as trip:
-            nreject += 1
-            h *= 0.5
+    with np.errstate(all="ignore"):  # checked by deriv
+        _first_derivative(deriv, t0)
+        np.abs(y, out=abs_y)
+        while (t1 - t) * direction > 0.0:
             if abs(h) < cfg.h_min:
-                raise OriginCollisionError(
-                    f"trajectory entered the singularity guard near t = {trip.t:.6g} "
-                    f"({trip.cause})",
-                    time=float(trip.t),
-                ) from trip.cause
-            continue
-        y_new = yi  # stage 7 input is already the fifth-order solution
-        err_vec = h * (_DP_E @ k)
-        sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-        if err <= 1.0:
-            if float(np.max(np.abs(y_new))) > OVERFLOW_LIMIT:
-                raise BlowupError(
-                    f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} near t = {t + h:.6g}",
-                    time=float(t + h),
+                raise StepUnderflowError(
+                    f"step size {abs(h):.3e} fell below h_min {cfg.h_min:.3e} at t = {t:.6g}"
                 )
-            t_new = t1 if last else t + h
-            while next_sample < m and (samples[next_sample] - t_new) * direction <= 0.0:
-                theta = (samples[next_sample] - t) / h
-                out[next_sample] = _hermite(y, k[0], y_new, k[6], h, theta)
-                next_sample += 1
-            t = t_new
-            y = y_new
-            k[0] = k[6]
-            naccept += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            nreject += 1
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h = direction * min(abs(h) * factor, h_max)
+            last = abs(t1 - t) <= abs(h)
+            if last:
+                h = t1 - t
+            h_arr[()] = h
+            try:
+                for i in range(1, 7):
+                    # ys[i] = y + h * (A_i @ k[:i]), bit for bit
+                    np.dot(_DP_A[i], k_prior[i], out=comb)
+                    comb *= h_arr
+                    np.add(y, comb, out=rows[i])
+                    deriv(i, t + _DP_C[i] * h)
+                    nfev += 1
+            except _GuardTrip as trip:
+                nreject += 1
+                h *= 0.5
+                if abs(h) < cfg.h_min:
+                    raise OriginCollisionError(
+                        f"trajectory entered the singularity guard near t = {trip.t:.6g} "
+                        f"({trip.cause})",
+                        time=float(trip.t),
+                    ) from trip.cause
+                continue
+            # ys[6], stage 7's input, is already the fifth-order solution;
+            # the error norm is sqrt(mean((h (E @ k) / scale)^2)) with
+            # scale = atol + rtol max(|y|, |y_new|)
+            np.dot(_DP_E, k, out=comb)
+            comb *= h_arr
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= cfg.rtol
+            scale += cfg.atol
+            comb /= scale
+            comb *= comb
+            err = math.sqrt(float(comb.sum()) / size)
+            if err <= 1.0:
+                if float(abs_new.max()) > OVERFLOW_LIMIT:
+                    raise BlowupError(
+                        f"state magnitude exceeded {OVERFLOW_LIMIT:.0e} near t = {t + h:.6g}",
+                        time=float(t + h),
+                    )
+                t_new = t1 if last else t + h
+                while next_sample < m and (samples[next_sample] - t_new) * direction <= 0.0:
+                    theta = (samples[next_sample] - t) / h
+                    out[next_sample] = _hermite(y, k[0], y_new, k[6], h, theta)
+                    next_sample += 1
+                t = t_new
+                ys[0] = y_new
+                k[0] = k[6]
+                abs_y, abs_new = abs_new, abs_y
+                naccept += 1
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            else:
+                nreject += 1
+                factor = max(0.2, 0.9 * err ** -0.2)
+            h = direction * min(abs(h) * factor, h_max)
 
     out.setflags(write=False)  # the last step ended at t1: every sample is written
     return Trajectory(
@@ -336,13 +427,12 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     )
 
 
-def _first_derivative(deriv, t0, y, dy):
-    """The derivative at the initial state: a guard trip there is an
-    OriginCollision, a non-finite derivative (the initial data overflow
-    the force law) an Overflow, both at t0."""
+def _first_derivative(deriv, t0):
+    """The derivative at the initial state, row 0: a guard trip there is
+    an OriginCollision, a non-finite derivative (the initial data
+    overflow the force law) an Overflow, both at t0."""
     try:
-        with np.errstate(all="ignore"):  # checked by deriv
-            deriv(t0, y, dy)
+        deriv(0, t0)
     except _GuardTrip as trip:
         if isinstance(trip.cause, (OriginError, PairCollisionError)):
             raise OriginCollisionError(

@@ -21,10 +21,10 @@ result is viewed back as (n, 2) floats.  rhs_base and rhs_generalized
 (couplings alpha e^{mu t}, plus mu z', mu = lam + i omega) call
 `_accelerations`; rhs_pair runs the kernel on the differences of its
 two families.  _PlaneForce and _PairForce run the same arithmetic on
-complex views of the integrator's packed stage vectors and write into
-the stage derivative in place.  rhs_complex stays an independent route:
-it takes a ComplexState, guards on |z| and shares no code with the
-kernel, so the tests cross-check the two.
+complex views of an integrator run's stage rows, bound once per run,
+and write into the stage derivative in place.  rhs_complex stays an
+independent route: it takes a ComplexState, guards on |z| and shares no
+code with the kernel, so the tests cross-check the two.
 
 The rhs_* evaluators are pure functions of immutable inputs.
 
@@ -101,15 +101,18 @@ class PlaneState:
     checked again, everywhere after that.  The constructor copies,
     shape-checks, finiteness-checks and freezes both arrays, so user data
     and parsed scenarios always go through it.  `_checked` stores float64
-    arrays of shape (n, 2) with no copy and no check; its only caller is
-    `_state_view`, one sample at a time as samples are read, over
-      - the frozen arrays of an `integrate.Trajectory`: the closed-form
-        grids, every value of which has been checked, the integrator's
-        output, or a caller's arrays, non-finite values included;
-      - the integrator's stage vectors, isfinite-checked before a
-        user's rhs reads them.
-    A pair sample goes through the PairState constructor, which keeps
-    its exact-coincidence check.
+    arrays of shape (n, 2) with no copy and no check.  Its callers are
+      - `_state_view` (through `_families` for a pair), one sample at a
+        time as samples are read, over the frozen arrays of an
+        `integrate.Trajectory`: the closed-form grids, every value of
+        which has been checked, the integrator's output, or a caller's
+        arrays, non-finite values included;
+      - the integrator's binding of a user's rhs (`integrate._UserForce`),
+        once per run, over the rows of its stage inputs: the views stay
+        bound for the run, and each stage checks its row for finiteness
+        before the rhs reads it.
+    A pair sample or stage goes through the PairState constructor, which
+    keeps its exact-coincidence check.
     """
 
     positions: np.ndarray
@@ -223,17 +226,23 @@ class PairState:
         return self.plus.n
 
 
-def _state_view(positions: np.ndarray, velocities: np.ndarray, pair: bool = False):
-    """(p, 2) float64 arrays as a read-only PlaneState view, or for a
-    pair as the PairState of the two halves, plus family first: the one
-    place the stacked layout is split into families."""
-    if not pair:
-        return PlaneState._checked(positions, velocities)
+def _families(positions: np.ndarray, velocities: np.ndarray) -> tuple[PlaneState, PlaneState]:
+    """The plus and minus halves of stacked (2n, 2) float64 arrays, plus
+    family first, as read-only PlaneState views: the one place the
+    stacked layout is split into families."""
     n = positions.shape[0] // 2
-    return PairState(
+    return (
         PlaneState._checked(positions[:n], velocities[:n]),
         PlaneState._checked(positions[n:], velocities[n:]),
     )
+
+
+def _state_view(positions: np.ndarray, velocities: np.ndarray, pair: bool = False):
+    """(p, 2) float64 arrays as a read-only PlaneState view, or for a
+    pair as the PairState of its two families (`_families`)."""
+    if not pair:
+        return PlaneState._checked(positions, velocities)
+    return PairState(*_families(positions, velocities))
 
 
 def _stacked(state) -> tuple[np.ndarray, np.ndarray]:
@@ -268,15 +277,23 @@ def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> Non
     significant bits, so only radius ratios within that rounding of 1e-12
     may be decided differently; where it underflows to zero (max r below
     about 1.6e-150) only a radius whose square is exactly zero trips.
+
+    Precondition: positions and r2 hold no NaN.  Every caller passes
+    squared radii of finite positions (inf, from overflow, is ordered
+    like any number), and under it Python's min and max over
+    r2.tolist() pick exactly the values np.min and np.max would, at a
+    fraction of the cost of two numpy reductions on a few numbers.
     """
     if r2 is None:
         r2 = (positions * positions).sum(axis=1)
-    r2min = r2.min()
-    if r2min == 0.0 or r2min < _GUARD_RATIO2 * r2.max():
-        j = int(np.argmin(r2))
+    radii2 = r2.tolist()
+    r2min = min(radii2)
+    r2max = max(radii2)
+    if r2min == 0.0 or r2min < _GUARD_RATIO2 * r2max:
+        j = radii2.index(r2min)
         raise error(
             f"particle {j + 1} radius {math.sqrt(r2min):.3e} is inside the origin guard "
-            f"(scale {math.sqrt(r2.max()):.3e})"
+            f"(scale {math.sqrt(r2max):.3e})"
         )
 
 
@@ -393,14 +410,18 @@ def rhs_pair(p: PairSpec, s: PairState) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _PlaneForce:
-    """The base or generalized law on the integrator's packed stage vectors.
+    """The base or generalized law, bound to an integrator run's rows.
 
-    `integrate` recognises this type and calls stage(t, y, out) with a
-    stage vector y (every position, then every velocity, as (x, y)
-    pairs) and out, the acceleration half of the derivative, which the
-    kernel fills in place, on complex views of both: no state object per
-    stage.  The arithmetic is that of rhs_base and rhs_generalized, so
-    both routes give identical numbers.
+    `integrate` calls bind(rows, acc) once per run, with the run's
+    (7, 4n) stage-input rows (every position, then every velocity, as
+    (x, y) pairs) and the (7, 2n) acceleration halves of its derivative
+    rows.  bind forms the complex views of every row once and returns
+    stage(i, t), which runs the kernel on rows[i] and writes into acc[i]
+    in place: no view, reshape or state object per stage.  The bound
+    views live in the returned closure, not on the instance, so one
+    instance serves consecutive and nested runs.  The arithmetic is that
+    of rhs_base and rhs_generalized, so both routes give identical
+    numbers.
     """
 
     pair = False
@@ -410,16 +431,22 @@ class _PlaneForce:
         self.alpha = alpha_matrix(c)
         self.mu = 0j if g is None else complex(g.lam, g.omega)
 
-    def stage(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
-        n = self.n
-        yc = y.view(np.complex128)
-        alpha = _rotated(self.alpha, self.mu, t)
-        _kernel(alpha, yc[:n], yc[n:], mu=self.mu, out=out.view(np.complex128))
+    def bind(self, rows: np.ndarray, acc: np.ndarray):
+        n, alpha, mu = self.n, self.alpha, self.mu
+        complex_rows = [row.view(np.complex128) for row in rows]
+        z = [row[:n] for row in complex_rows]
+        zdot = [row[n:] for row in complex_rows]
+        out = [a.view(np.complex128) for a in acc]
+
+        def stage(i: int, t: float) -> None:
+            _kernel(_rotated(alpha, mu, t), z[i], zdot[i], mu=mu, out=out[i])
+
+        return stage
 
 
 class _PairForce:
-    """The pair law on packed stage vectors, as _PlaneForce; each half of
-    the vector holds the plus family before the minus family."""
+    """The pair law, bound to a run's rows as _PlaneForce is; each half
+    of a stage row holds the plus family before the minus family."""
 
     pair = True
 
@@ -428,7 +455,13 @@ class _PairForce:
         self.alpha = alpha_matrix(p.base)
         self.mu = p.lam + 1j * p.omega
 
-    def stage(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
-        zp, zm, vp, vm = y.view(np.complex128).reshape(4, self.n)
-        out_p, out_m = out.view(np.complex128).reshape(2, self.n)
-        _pair_kernel(self.alpha, self.mu, zp, zm, vp, vm, out_p, out_m)
+    def bind(self, rows: np.ndarray, acc: np.ndarray):
+        n, alpha, mu = self.n, self.alpha, self.mu
+        # (zp, zm, vp, vm) and (out_p, out_m) of every row
+        z = [tuple(row.view(np.complex128).reshape(4, n)) for row in rows]
+        out = [tuple(a.view(np.complex128).reshape(2, n)) for a in acc]
+
+        def stage(i: int, t: float) -> None:
+            _pair_kernel(alpha, mu, *z[i], *out[i])
+
+        return stage

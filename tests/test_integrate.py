@@ -1,4 +1,5 @@
 """Adaptive integrator: accuracy, sampling, guards and comparison reports."""
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from planebody import (
     BlowupError,
     CouplingSpec,
+    GeneralizedParams,
     GridMismatchError,
     IntegratorConfig,
     OriginCollisionError,
@@ -29,6 +31,7 @@ from planebody import (
     with_samples,
     zero_couplings,
 )
+from planebody.model import _PairForce, _PlaneForce
 
 from _util import count_frozen_arrays, random_couplings, random_state
 
@@ -434,3 +437,126 @@ def test_overflowing_initial_derivative_is_an_overflow_at_t0():
     with pytest.raises(BlowupError) as info:
         spectral_solve(zero_couplings(1), to_complex(s0))
     assert info.value.time == 0.0
+
+
+def _built_in_force(pair):
+    """A built-in force law (the CLI's route) with its initial state."""
+    rng = np.random.default_rng(58)
+    c = random_couplings(rng, 2)
+    if pair:
+        plus = random_state(rng, 2)
+        s0 = PairState(plus=plus, minus=PlaneState(plus.positions + 2.0, -plus.velocities))
+        return _PairForce(PairSpec(base=c, lam=np.array([0.2, -0.1]), omega=np.array([0.8, 1.4]))), s0
+    return _PlaneForce(c, GeneralizedParams(lam=0.1, omega=0.7)), random_state(rng, 2)
+
+
+def _poisoned(force, row, value):
+    """A copy of a built-in force law whose first evaluation (the initial
+    derivative) adds value to every acceleration it wrote ("derivative"),
+    or to every velocity of the solution row that each later stage input
+    is formed from ("state"), after the law has run.  Adding 1e308 to
+    several entries keeps each finite but overflows their sum."""
+
+    class Poisoned(type(force)):
+        def bind(self, rows, acc):
+            stage = super().bind(rows, acc)
+            first = [True]
+
+            def poisoned(i, t):
+                stage(i, t)
+                if first:
+                    first.clear()
+                    (acc[0] if row == "derivative" else rows[0, acc.shape[1]:])[...] += value
+
+            return poisoned
+
+    poisoned = copy.copy(force)
+    poisoned.__class__ = Poisoned
+    return poisoned
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pair", [False, True])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308, -0.0, 5e-324])
+def test_stage_finiteness_check_is_exact_on_the_built_in_laws(pair, value):
+    force, s0 = _built_in_force(pair)
+    cfg = IntegratorConfig(t_span=(0.0, 0.5), sample_count=11)
+    clean = integrate(force, s0, cfg)
+
+    # a non-finite acceleration trips the initial derivative: an Overflow
+    # at t0; 1e308 passes there, and the stages formed from it overflow
+    if value in (-0.0, 5e-324):  # adding it changes no acceleration
+        run = integrate(_poisoned(force, "derivative", value), s0, cfg)
+        assert run.metadata == clean.metadata
+        assert np.array_equal(run.positions, clean.positions)
+    elif value == 1e308:
+        with pytest.raises(OriginCollisionError) as info:
+            integrate(_poisoned(force, "derivative", value), s0, cfg)
+        assert info.value.time > 0.0
+    else:
+        with pytest.raises(BlowupError) as info:
+            integrate(_poisoned(force, "derivative", value), s0, cfg)
+        assert info.value.code == "Overflow" and info.value.time == 0.0
+        assert str(info.value) == (
+            "the initial state overflows the force law at t = 0.0 (non-finite derivative)"
+        )
+
+    # a non-finite velocity in the solution makes every later stage input
+    # non-finite; 1e308 passes the stage check, and the force law overflows
+    if value in (-0.0, 5e-324):
+        run = integrate(_poisoned(force, "state", value), s0, cfg)
+        assert run.metadata == clean.metadata
+        assert np.array_equal(run.positions, clean.positions)
+        return
+    with pytest.raises(OriginCollisionError) as info:
+        integrate(_poisoned(force, "state", value), s0, cfg)
+    cause = "non-finite derivative" if value == 1e308 else "non-finite stage state"
+    assert info.value.code == "OriginCollision"
+    assert str(info.value) == (
+        f"trajectory entered the singularity guard near t = {info.value.time:.6g} ({cause})"
+    )
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_bound_rows_do_not_leak_between_runs(pair):
+    force, s0 = _built_in_force(pair)
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), sample_count=21)
+    other = IntegratorConfig(t_span=(0.0, -0.7), sample_count=9, rtol=1e-7)
+    first = integrate(force, s0, cfg)
+    kept = [a.copy() for a in (first.times, first.positions, first.velocities)]
+    second = integrate(force, s0, other)
+    fresh = [integrate(_built_in_force(pair)[0], s0, c) for c in (cfg, other)]
+    for run, want in zip((first, second), fresh):
+        assert run.metadata == want.metadata
+        for name in ("times", "positions", "velocities"):
+            assert np.array_equal(getattr(run, name), getattr(want, name))
+    # the first trajectory does not share the second run's buffers
+    for a, b in zip(kept, (first.times, first.positions, first.velocities)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_a_run_nested_in_a_stage_leaves_the_outer_run_unchanged(pair):
+    force, s0 = _built_in_force(pair)
+    if pair:
+        spec = PairSpec(base=random_couplings(np.random.default_rng(5), 2), lam=np.zeros(2), omega=np.ones(2))
+        law = lambda t, s: rhs_pair(spec, s)
+    else:
+        c = random_couplings(np.random.default_rng(5), 2)
+        law = lambda t, s: rhs_base(c, s)
+    inner_cfg = IntegratorConfig(t_span=(0.0, 0.05), sample_count=3)
+    inner_runs = []
+
+    def nesting(t, s):
+        # two runs inside the stage, from its state: the built-in law and this rhs's own
+        inner_runs.append(integrate(force, s, inner_cfg).metadata["stats"]["rhs_evaluations"])
+        integrate(law, s, inner_cfg)
+        return law(t, s)
+
+    cfg = IntegratorConfig(t_span=(0.0, 0.4), sample_count=5)
+    nested = integrate(nesting, s0, cfg)
+    plain = integrate(law, s0, cfg)
+    assert len(inner_runs) == plain.metadata["stats"]["rhs_evaluations"]
+    assert nested.metadata == plain.metadata
+    assert np.array_equal(nested.positions, plain.positions)
+    assert np.array_equal(nested.velocities, plain.velocities)

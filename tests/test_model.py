@@ -1,4 +1,6 @@
 """State containers and the four force evaluators."""
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from planebody import (
     to_complex,
     zero_couplings,
 )
+from planebody.linalg import MAX_DIMENSION
 from planebody.model import ORIGIN_GUARD_RATIO, _accelerations, check_origin_guard
 
 from _util import random_couplings, random_state
@@ -334,3 +337,52 @@ def test_kernel_agrees_with_rhs_complex(n):
         assert acc.shape == (n, 2) and acc.dtype == np.float64
         ref = rhs_complex(c, to_complex(s))
         assert _rel_dev(acc, np.stack([ref.real, ref.imag], axis=1)) < 1e-12
+
+
+def _reduction_reference(r2):
+    """check_origin_guard's decision and message through np.min / np.max."""
+    low, high = np.min(r2), np.max(r2)
+    if low == 0.0 or low < ORIGIN_GUARD_RATIO ** 2 * high:
+        j = int(np.argmin(r2))
+        return (
+            f"particle {j + 1} radius {math.sqrt(low):.3e} is inside the origin guard "
+            f"(scale {math.sqrt(high):.3e})"
+        )
+    return None
+
+
+def _guard_outcome(r2):
+    try:
+        check_origin_guard(None, r2=r2)
+    except OriginError as exc:
+        return str(exc)
+    return None
+
+
+def test_guard_reduction_decides_as_numpy_min_and_max():
+    rng = np.random.default_rng(64)
+    threshold = ORIGIN_GUARD_RATIO ** 2
+    cases = []
+    for length in range(1, MAX_DIMENSION + 1):
+        # squared radii spread over the whole exponent range, and with
+        # ties, exact zeros, subnormals and inf dropped in
+        r2 = 10.0 ** rng.uniform(-320.0, 308.0, length)
+        cases.append(r2)
+        for special in (0.0, 5e-324, 2.2e-308, math.inf, r2.max(), r2.min()):
+            spiked = r2.copy()
+            spiked[rng.integers(length, size=1 + length // 3)] = special
+            cases.append(spiked)
+        cases.append(np.full(length, r2[0]))
+        # one squared radius at 1e-24 times the largest, and one ulp
+        # either side of it
+        for scale in (1e-280, 1e-100, 1.0, 1e100, 1e280):
+            r2 = scale * rng.uniform(1.0, 2.0, length)
+            edge = threshold * r2.max()
+            for value in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
+                near = r2.copy()
+                near[rng.integers(length)] = value
+                cases.append(near)
+    decided = [_reduction_reference(r2) is not None for r2 in cases]
+    assert 0 < sum(decided) < len(cases)
+    for r2 in cases:
+        assert _guard_outcome(r2) == _reduction_reference(r2)
