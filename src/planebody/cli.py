@@ -7,7 +7,8 @@ Subcommands:
     compare    both routes plus a deviation report       -> *_exact.csv,
                *_numeric.csv, <name>_compare.txt
     classify   spectrum report, period prediction and
-               best-effort period detection              -> <name>_classify.txt
+               best-effort period detection on the
+               closed-form grid                          -> <name>_classify.txt
     demo       write a built-in scenario file, then run the full pipeline
 
 Exit codes: 0 success, 1 runtime/model failure, 2 configuration or usage
@@ -188,7 +189,8 @@ def _cmd_compare(args) -> int:
 
 
 def _run_compare(sc: Scenario, args) -> Trajectory:
-    """Write both routes and the deviation report; return the numeric run."""
+    """Write both routes and the deviation report; return the closed-form
+    trajectory."""
     exact_traj = _exact_trajectory(sc)
     numeric_traj = _numeric_trajectory(sc)
     exact_path = _out_path(args, f"{sc.name}_exact.csv")
@@ -202,7 +204,7 @@ def _run_compare(sc: Scenario, args) -> Trajectory:
         print(f"wrote {path}")
     print(f"max position deviation: {_NUM(report.max_position_abs)}")
     print(f"max velocity deviation: {_NUM(report.max_velocity_abs)}")
-    return numeric_traj
+    return exact_traj
 
 
 def _spectrum_for(sc: Scenario) -> np.ndarray:
@@ -239,14 +241,15 @@ def _classification_lines(sc: Scenario, detected) -> list[str]:
 
 
 def _detect_on_trajectory(sc: Scenario, traj: Trajectory | None = None):
-    """Best-effort period detection on a numeric run; never fatal.
+    """Best-effort period detection on sc's closed-form trajectory; never
+    fatal, and never integrates.
 
-    traj is a numeric run of sc made earlier; without one, sc is
-    integrated here.
+    traj is that trajectory made earlier; without one, it is evaluated
+    here.  A closed form that fails reports its error code.
     """
     try:
         if traj is None:
-            traj = _numeric_trajectory(sc)
+            traj = _exact_trajectory(sc)
         w = _spectrum_for(sc)
         return detect_period(traj, eigenvalues=w)
     except InsufficientSpanError:
@@ -278,16 +281,16 @@ def _cmd_demo(args) -> int:
     # Re-read through the parser so the demo exercises the documented format.
     sc = _apply_overrides(parse_scenario(scenario_path), args)
     outputs = set(sc.outputs)
-    numeric = None
+    traj = None
     if "comparison" in outputs:
-        numeric = _run_compare(sc, args)
+        traj = _run_compare(sc, args)
     elif "trajectory" in outputs:
         traj = _exact_trajectory(sc)
         path = _out_path(args, f"{sc.name}_exact.csv")
         write_trajectory_csv(path, traj)
         print(f"wrote {path}")
     if "classification" in outputs:
-        detected = _detect_on_trajectory(sc, numeric)
+        detected = _detect_on_trajectory(sc, traj)
         lines = _classification_lines(sc, detected)
         path = _out_path(args, f"{sc.name}_classify.txt")
         _write_lines(path, lines)

@@ -623,3 +623,72 @@ def test_huge_couplings_print_at_most_one_error_line(tmp_path, capsys, command, 
         assert rc == 0 and lines == []
     else:
         assert rc == 1 and len(lines) == 1 and lines[0].startswith("ERROR "), lines
+
+
+# The pair scenario whose relative coordinates cancel below rounding: the
+# integrator stalls on it (it did not end within 10 s), while the closed
+# form fails in PairCollision at t = -0.538.
+_FUZZ_PAIR = {
+    "name": "fuzz", "variant": "pair",
+    "beta": [[-12.652190893989005, 0.0, 0.0], [0.0, -12.519870546233417, 7.310142785036611],
+             [0.0, 0.0, 0.0]],
+    "gamma": [[0.0, -2.3358174116797032e-102, 0.0],
+              [-1.0492230724276654e-218, 4.4817953493370915e-68, 0.0],
+              [0.0, 26.007209233552636, 29.055411764273778]],
+    "initial": [[1.4393348365318248, -4.1731567494355164e-128, 0.0, 0.0],
+                [-2.9999999999999996, 2.2834396820619407, 0.0, 1.3927330871671018],
+                [-2.526025709644335, -1.3575944205432653, 0.0, -0.6420627525997986],
+                [2.4249019631845865, -1.1, 0.0, 0.0],
+                [-2.1489069140645993, -0.7, 1.050180616312999, 0.0],
+                [-1.8041423522495128, -2.7520744215158746, 1.0, 4.978972892213176e-49]],
+    "integrator": {"t_span": [0.0, -1.7948999352387331], "samples": 21},
+    "pair_params": {"Lambda": [6.950203840744855, 28.32058938861848, 0.0], "Omega": [0.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a stderr line
+def test_classify_on_a_stalling_pair_scenario_reports_the_closed_form_failure(tmp_path, capsys, monkeypatch):
+    import planebody.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    path = _write_scenario(tmp_path, _FUZZ_PAIR)
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "detected_period: unavailable (PairCollision)\n" in captured.out
+    assert "detected_period: unavailable (PairCollision)\n" in (tmp_path / "fuzz_classify.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_classify_never_integrates(tmp_path, monkeypatch, name):
+    import planebody.cli as cli
+
+    calls = []
+    real = cli.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    path = _write_scenario(tmp_path, builtin_scenarios()[name])
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    assert calls == []
+    # the demo detects on the same closed-form grid
+    assert main(["demo", name, "--out-dir", str(tmp_path / "demo")]) == 0
+    assert len(calls) == 1
+    name_file = f"{name}_classify.txt"
+    assert (tmp_path / name_file).read_bytes() == (tmp_path / "demo" / name_file).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_builtin_demo_routes_agree_to_1e_8(name):
+    from planebody.cli import _exact_trajectory
+    from planebody.integrate import compare
+
+    sc = scenario_from_dict(builtin_scenarios()[name])
+    report = compare(_exact_trajectory(sc), _numeric_trajectory(sc))
+    assert max(report.max_position_rel, report.max_velocity_rel) <= 1e-8

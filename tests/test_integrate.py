@@ -560,3 +560,41 @@ def test_a_run_nested_in_a_stage_leaves_the_outer_run_unchanged(pair):
     assert nested.metadata == plain.metadata
     assert np.array_equal(nested.positions, plain.positions)
     assert np.array_equal(nested.velocities, plain.velocities)
+
+
+def test_dense_output_coefficients_equal_scipy_rk45():
+    rk = pytest.importorskip("scipy.integrate")
+    from planebody.integrate import _DP_P
+
+    want = np.asarray(rk.RK45.P, dtype=np.float64)
+    assert _DP_P.shape == want.shape == (7, 4)
+    assert np.array_equal(_DP_P.view(np.int64), want.view(np.int64))  # 0 ulp
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_interpolant_at_theta_one_is_the_accepted_state(pair):
+    # a run's last rhs call is the last stage of its final accepted step,
+    # whose input is the accepted state at t1; the last sample is that
+    # step's interpolant at theta = 1
+    _, s0 = _built_in_force(pair)
+    c = random_couplings(np.random.default_rng(8), 2)
+    if pair:
+        spec = PairSpec(base=c, lam=np.array([0.2, -0.1]), omega=np.array([0.8, 1.4]))
+        law = lambda t, s: rhs_pair(spec, s)
+        packed = lambda s: np.concatenate([s.plus.positions, s.minus.positions,
+                                           s.plus.velocities, s.minus.velocities])
+    else:
+        law = lambda t, s: rhs_base(c, s)
+        packed = lambda s: np.concatenate([s.positions, s.velocities])
+    inputs = []
+
+    def recording(t, s):
+        inputs.append(packed(s))
+        return law(t, s)
+
+    traj = integrate(recording, s0, IntegratorConfig(t_span=(0.0, 1.5), sample_count=2, h_max=1.5))
+    assert traj.metadata["stats"]["accepted"] > 3  # the last step is not the first
+    sampled = np.concatenate([traj.positions[-1], traj.velocities[-1]])
+    accepted = inputs[-1]
+    scale = float(np.max(np.abs(accepted)))
+    assert np.max(np.abs(sampled - accepted)) <= 8 * np.finfo(float).eps * scale
