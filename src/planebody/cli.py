@@ -12,7 +12,8 @@ Subcommands:
     demo       write a built-in scenario file, then run the full pipeline
 
 Exit codes: 0 success, 1 runtime/model failure, 2 configuration or usage
-failure, an output directory or file that cannot be written included.
+failure, an output directory or file that cannot be written and a sample
+grid that cannot be allocated included.
 Failures print a single ``ERROR <code>: <detail>`` line to stderr.
 Data files are deterministic; timing goes to stdout only.
 """
@@ -215,8 +216,10 @@ def _spectrum_for(sc: Scenario) -> np.ndarray:
     return w
 
 
-def _classification_lines(sc: Scenario, detected) -> list[str]:
+def _classification_lines(sc: Scenario, traj: Trajectory | None = None) -> list[str]:
+    """The classify report; traj is sc's closed-form trajectory if already made."""
     w = _spectrum_for(sc)
+    detected = _detect_on_trajectory(sc, w, traj)
     mc = classify(w)
     rows = [f"scenario: {sc.name}", f"variant: {sc.variant}", f"particles: {sc.n}"]
     for k, wk in enumerate(w):
@@ -240,9 +243,9 @@ def _classification_lines(sc: Scenario, detected) -> list[str]:
     return rows
 
 
-def _detect_on_trajectory(sc: Scenario, traj: Trajectory | None = None):
-    """Best-effort period detection on sc's closed-form trajectory; never
-    fatal, and never integrates.
+def _detect_on_trajectory(sc: Scenario, w: np.ndarray, traj: Trajectory | None):
+    """Best-effort period detection on sc's closed-form trajectory, seeded
+    by its spectrum w; never fatal, and never integrates.
 
     traj is that trajectory made earlier; without one, it is evaluated
     here.  A closed form that fails reports its error code.
@@ -250,7 +253,6 @@ def _detect_on_trajectory(sc: Scenario, traj: Trajectory | None = None):
     try:
         if traj is None:
             traj = _exact_trajectory(sc)
-        w = _spectrum_for(sc)
         return detect_period(traj, eigenvalues=w)
     except InsufficientSpanError:
         return "unavailable (time span shorter than twice the candidate period)"
@@ -260,8 +262,7 @@ def _detect_on_trajectory(sc: Scenario, traj: Trajectory | None = None):
 
 def _cmd_classify(args) -> int:
     sc = _load(args)
-    detected = _detect_on_trajectory(sc)
-    lines = _classification_lines(sc, detected)
+    lines = _classification_lines(sc)
     path = _out_path(args, f"{sc.name}_classify.txt")
     _write_lines(path, lines)
     for line in lines:
@@ -290,8 +291,7 @@ def _cmd_demo(args) -> int:
         write_trajectory_csv(path, traj)
         print(f"wrote {path}")
     if "classification" in outputs:
-        detected = _detect_on_trajectory(sc, traj)
-        lines = _classification_lines(sc, detected)
+        lines = _classification_lines(sc, traj)
         path = _out_path(args, f"{sc.name}_classify.txt")
         _write_lines(path, lines)
         print(f"wrote {path}")
@@ -306,7 +306,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an output directory or file that cannot be made
+    # an output directory or file that cannot be made, or a sample grid
+    # too large to allocate
+    except (OSError, MemoryError) as exc:
         print(f"ERROR {ScenarioError.code}: {exc}", file=sys.stderr)
         return 2
     except PlanebodyError as exc:

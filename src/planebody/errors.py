@@ -8,9 +8,16 @@ from __future__ import annotations
 
 
 class PlanebodyError(Exception):
-    """Base class for runtime model errors (CLI exit code 1)."""
+    """Base class for runtime model errors (CLI exit code 1).
+
+    time is the model time of the failure, where one is known.
+    """
 
     code = "Error"
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
 
 
 class DefectiveMatrixError(PlanebodyError):
@@ -49,29 +56,17 @@ class PairCollisionError(PlanebodyError):
 
     code = "PairCollision"
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
-
 
 class OriginCollisionError(PlanebodyError):
     """A trajectory entered the origin guard during integration."""
 
     code = "OriginCollision"
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
-
 
 class BlowupError(PlanebodyError):
     """State magnitude left the representable range (double-exponential run-off)."""
 
     code = "Overflow"
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
 
 class StepUnderflowError(PlanebodyError):

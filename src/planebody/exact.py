@@ -32,6 +32,7 @@ from .model import (
     PairSpec,
     PairState,
     PlaneState,
+    _frozen_array,
     alpha_matrix,
     check_origin_guard,
     perp,
@@ -438,13 +439,7 @@ class SimilaritySpec:
     r0: np.ndarray
 
     def __post_init__(self):
-        r0 = np.array(self.r0, dtype=np.float64)
-        if r0.ndim != 2 or r0.shape[1] != 2:
-            raise ValueError(f"r0 must have shape (n, 2), got {r0.shape}")
-        if not np.all(np.isfinite(r0)):
-            raise ValueError("r0 contains non-finite entries")
-        r0.setflags(write=False)
-        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "r0", _frozen_array(self.r0, (None, 2), "r0"))
         object.__setattr__(self, "eta", complex(self.eta))
 
 

@@ -2,7 +2,8 @@
 
 Schema (keys at the top level):
 
-    name                string, used as the output file prefix
+    name                string without '/', '\\' or NUL, used as the output
+                        file prefix
     variant             "base" | "generalized" | "pair"
     beta, gamma         n x n matrices as row lists
     generalized_params  {"lambda": float, "omega": float}   (generalized only)
@@ -32,6 +33,7 @@ from .model import (
     PairSpec,
     PairState,
     PlaneState,
+    _frozen_array,
 )
 
 VARIANTS = ("base", "generalized", "pair")
@@ -55,55 +57,31 @@ class Scenario:
 
 
 def _require(data: dict, field: str):
-    if field not in data:
+    """data[key] for the last dotted component of field, which names it in errors."""
+    key = field.rpartition(".")[2]
+    if key not in data:
         raise ValidationError(field, "required field is missing")
-    return data[field]
+    return data[key]
 
 
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field, f"expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ValidationError(field, str(exc)) from exc
+    if not math.isfinite(x):
         raise ValidationError(field, "must be finite")
-    return float(value)
+    return x
 
 
-def _matrix(value, field: str, n: int | None = None) -> np.ndarray:
+def _array(value, field: str, shape) -> np.ndarray:
+    """A frozen finite float64 array of the given shape (None: any length)."""
     try:
-        m = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(field, f"not a numeric matrix ({exc})") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(field, f"must be a square matrix of row lists, got shape {m.shape}")
-    if n is not None and m.shape[0] != n:
-        raise ValidationError(field, f"expected a {n}x{n} matrix, got {m.shape[0]}x{m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(field, "contains non-finite entries")
-    return m
-
-
-def _vector(value, field: str, n: int) -> np.ndarray:
-    try:
-        v = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(field, f"not a numeric list ({exc})") from exc
-    if v.shape != (n,):
-        raise ValidationError(field, f"expected {n} numbers, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(field, "contains non-finite entries")
-    return v
-
-
-def _state_rows(value, field: str) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        rows = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(field, f"not numeric rows ({exc})") from exc
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValidationError(field, "each row must be [x, y, vx, vy]")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError(field, "contains non-finite entries")
-    return rows[:, 0:2].copy(), rows[:, 2:4].copy()
+        return _frozen_array(value, shape, field)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _integrator(data) -> IntegratorConfig:
@@ -112,15 +90,9 @@ def _integrator(data) -> IntegratorConfig:
     if not isinstance(data, dict):
         raise ValidationError("integrator", "must be an object")
     kwargs = {}
-    for key, target in (
-        ("rtol", "rtol"),
-        ("atol", "atol"),
-        ("h_init", "h_init"),
-        ("h_min", "h_min"),
-        ("h_max", "h_max"),
-    ):
+    for key in ("rtol", "atol", "h_init", "h_min", "h_max"):
         if key in data:
-            kwargs[target] = _number(data[key], f"integrator.{key}")
+            kwargs[key] = _number(data[key], f"integrator.{key}")
     if "t_span" in data:
         span = data["t_span"]
         if not isinstance(span, (list, tuple)) or len(span) != 2:
@@ -146,17 +118,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     name = data.get("name", "scenario")
     if not isinstance(name, str) or not name:
         raise ValidationError("name", "must be a non-empty string")
+    if any(c in name for c in "/\\\0"):
+        raise ValidationError("name", f"must not contain '/', '\\' or NUL, got {name!r}")
     variant = _require(data, "variant")
     if variant not in VARIANTS:
         raise ValidationError("variant", f"must be one of {VARIANTS}, got {variant!r}")
 
-    beta = _matrix(_require(data, "beta"), "beta")
-    n = beta.shape[0]
-    gamma = _matrix(_require(data, "gamma"), "gamma", n)
-    try:
-        couplings = CouplingSpec(beta, gamma)
-    except ValueError as exc:
-        raise ValidationError("beta", str(exc)) from exc
+    # beta's row count fixes n, so a non-square beta is reported as beta
+    beta = _require(data, "beta")
+    n = len(beta) if isinstance(beta, list) else None
+    couplings = CouplingSpec(
+        _array(beta, "beta", (n, n)), _array(_require(data, "gamma"), "gamma", (n, n))
+    )
 
     generalized = None
     pair = None
@@ -166,8 +139,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(
                 "generalized_params", "required object with keys lambda and omega"
             )
-        lam = _number(_require_in(params, "lambda", "generalized_params"), "generalized_params.lambda")
-        omega = _number(_require_in(params, "omega", "generalized_params"), "generalized_params.omega")
+        lam, omega = (
+            _number(_require(params, field), field)
+            for field in ("generalized_params.lambda", "generalized_params.omega")
+        )
         generalized = GeneralizedParams(lam=lam, omega=omega)
     elif variant == "pair":
         params = data.get("pair_params")
@@ -175,25 +150,21 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(
                 "pair_params", "required object with keys Lambda and Omega"
             )
-        lam = _vector(_require_in(params, "Lambda", "pair_params"), "pair_params.Lambda", n)
-        omega = _vector(_require_in(params, "Omega", "pair_params"), "pair_params.Omega", n)
+        lam, omega = (
+            _array(_require(params, field), field, (n,))
+            for field in ("pair_params.Lambda", "pair_params.Omega")
+        )
         pair = PairSpec(base=couplings, lam=lam, omega=omega)
 
-    positions, velocities = _state_rows(_require(data, "initial"), "initial")
-    rows = positions.shape[0]
+    # [x, y, vx, vy] rows: n particles, or 2n for a pair (plus family first)
+    rows = _array(_require(data, "initial"), "initial", (2 * n if variant == "pair" else n, 4))
     if variant == "pair":
-        if rows != 2 * n:
-            raise ValidationError(
-                "initial", f"pair variant needs 2n = {2 * n} rows (plus family first), got {rows}"
-            )
         initial: PlaneState | PairState = PairState(
-            plus=PlaneState(positions[:n], velocities[:n]),
-            minus=PlaneState(positions[n:], velocities[n:]),
+            plus=PlaneState(rows[:n, 0:2], rows[:n, 2:4]),
+            minus=PlaneState(rows[n:, 0:2], rows[n:, 2:4]),
         )
     else:
-        if rows != n:
-            raise ValidationError("initial", f"expected {n} rows to match beta, got {rows}")
-        initial = PlaneState(positions, velocities)
+        initial = PlaneState(rows[:, 0:2], rows[:, 2:4])
 
     integrator = _integrator(data.get("integrator"))
 
@@ -214,12 +185,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         integrator=integrator,
         outputs=tuple(outputs),
     )
-
-
-def _require_in(params: dict, key: str, parent: str):
-    if key not in params:
-        raise ValidationError(f"{parent}.{key}", "required field is missing")
-    return params[key]
 
 
 def parse_scenario(path) -> Scenario:

@@ -148,6 +148,14 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
         assert fh.read() == "\n".join(want) + "\n"
 
 
+def _as_pair(data):
+    """The basic n = 2 scenario turned into a valid pair scenario, in place."""
+    data["variant"] = "pair"
+    data["pair_params"] = {"Lambda": [0.1, -0.2], "Omega": [1.0, 0.5]}
+    data["initial"] += [[-0.5, 0.1, 0.0, -0.2], [0.3, -0.8, 0.2, 0.0]]
+    return data
+
+
 @pytest.mark.parametrize(
     "mutate, field",
     [
@@ -157,6 +165,18 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
         (lambda d: d.__setitem__("initial", [[1.0, 0.0, 0.0]]), "initial"),
         (lambda d: d["integrator"].__setitem__("t_span", [0.0]), "integrator.t_span"),
         (lambda d: d.__setitem__("outputs", ["sculpture"]), "outputs"),
+        pytest.param(lambda d: d.__setitem__("beta", [[0.0, 0.0], [0.0]]), "beta", id="ragged-beta"),
+        pytest.param(lambda d: d.__setitem__("beta", [[0.0, "zero"], [0.0, 0.0]]), "beta", id="string-in-beta"),
+        pytest.param(lambda d: d.__setitem__("beta", {"rows": 2}), "beta", id="object-beta"),
+        pytest.param(lambda d: d.__setitem__("beta", [[0.0, 10**400], [0.0, 0.0]]), "beta", id="huge-int-in-beta"),
+        pytest.param(lambda d: d["gamma"][0].__setitem__(1, math.nan), "gamma", id="nan-in-gamma"),
+        pytest.param(lambda d: d["gamma"][1].__setitem__(0, math.inf), "gamma", id="inf-in-gamma"),
+        pytest.param(lambda d: _as_pair(d)["pair_params"].__setitem__("Lambda", [0.1]), "pair_params.Lambda", id="short-Lambda"),
+        pytest.param(lambda d: _as_pair(d)["pair_params"].__setitem__("Omega", [1.0, "fast"]), "pair_params.Omega", id="string-in-Omega"),
+        pytest.param(lambda d: d.__setitem__("initial", [[1.0, 0.0, 0.0], [0.0, 1.5, -3.0]]), "initial", id="initial-rows-of-3"),
+        pytest.param(lambda d: _as_pair(d)["initial"].pop(), "initial", id="pair-initial-2n-1-rows"),
+        pytest.param(lambda d: d["initial"].append([0.5, 0.5, 0.0, 0.0]), "initial", id="initial-n+1-rows"),
+        pytest.param(lambda d: d["integrator"].__setitem__("rtol", 10**400), "integrator.rtol", id="huge-int-rtol"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, mutate, field):
@@ -692,3 +712,31 @@ def test_builtin_demo_routes_agree_to_1e_8(name):
     sc = scenario_from_dict(builtin_scenarios()[name])
     report = compare(_exact_trajectory(sc), _numeric_trajectory(sc))
     assert max(report.max_position_rel, report.max_velocity_rel) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["{tmp}/elsewhere/x", "../up", "a\\b", "nul\0byte"])
+def test_scenario_name_with_a_path_exits_2_and_writes_nothing(tmp_path, capsys, name):
+    (tmp_path / "elsewhere").mkdir()  # so that an absolute name could be written
+    data = _basic_scenario(name.format(tmp=tmp_path))
+    data["outputs"] = ["trajectory"]
+    path = _write_scenario(tmp_path, data)
+    out_dir = tmp_path / "out" / "sub"
+    assert main(["solve", "--scenario", path, "--out-dir", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ValidationError: name: "), lines
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["case.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "integrate", "classify"])
+@pytest.mark.parametrize("in_file", [True, False])
+def test_unallocatable_sample_grid_exits_2_with_one_config_line(tmp_path, capsys, command, in_file):
+    # 10**18 float64 times are 6.9 EiB, past any address space: the
+    # allocation fails before any memory is touched
+    data = _basic_scenario()
+    argv = [command, "--out-dir", str(tmp_path)]
+    if in_file:
+        data["integrator"]["samples"] = 10**18
+    else:
+        argv += ["--samples", str(10**18)]
+    argv += ["--scenario", _write_scenario(tmp_path, data)]
+    assert _one_error_line(capsys, argv, "ConfigError") == 2
