@@ -36,7 +36,6 @@ from .model import (
     alpha_matrix,
     check_origin_guard,
     perp,
-    to_complex,
 )
 
 PHI1_SERIES_RADIUS = 1e-4
@@ -185,7 +184,7 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     w, v, cond = linalg._eig_raw(a)
     if cond > linalg.DEFECT_THRESHOLD:
         return _degenerate_solve(a, w, v, f0, initial.z, cond)
-    coeff = linalg.solve_linear(v, f0)
+    coeff = np.linalg.solve(v, f0)  # v is the basis _eig_raw judged, cond(v) <= 1e8
     return SpectralSolution(
         eigenvalues=w, coefficients=v * coeff, z0=initial.z.copy()
     )
@@ -375,7 +374,7 @@ def pair_solve(p: PairSpec, initial: PairState) -> PairSolution:
         sums, sumv = plus.positions + minus.positions, plus.velocities + minus.velocities
     if not all(np.isfinite(a).all() for a in (*diffs, sums, sumv)):
         raise BlowupError("a plus/minus difference or sum overflows at t = 0.0", time=0.0)
-    rel = spectral_solve(p.base, to_complex(PlaneState(*diffs)))
+    rel = spectral_solve(p.base, ComplexState(*(d[:, 0] + 1j * d[:, 1] for d in diffs)))
     center = CenterSolution(
         z0=sums[:, 0] + 1j * sums[:, 1],
         zdot0=sumv[:, 0] + 1j * sumv[:, 1],

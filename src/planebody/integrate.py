@@ -147,6 +147,10 @@ class IntegratorConfig:
         object.__setattr__(self, "sample_count", int(self.sample_count))
         if self.h_max is not None and not self.h_max > 0.0:
             raise ValueError("h_max must be positive when given")
+        for name in ("rtol", "atol", "h_init", "h_min", "h_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not np.all(np.diff(self.sample_times()) * math.copysign(1.0, t1 - t0) > 0.0):
             raise ValueError(
                 f"t_span {list(self.t_span)} does not hold {self.sample_count} distinct sample times"
@@ -229,12 +233,12 @@ class _GuardTrip(Exception):
 
 class _UserForce:
     """A user's rhs(t, state), bound to a run's rows as the built-in laws
-    are (`model._PlaneForce`): bind reads every stage row once, as a
-    read-only PlaneState view or as the plus and minus views of a pair
-    state, and returns stage(i, t).  That builds a pair row's PairState
-    (its exact-coincidence check), runs the origin guard on the positions
-    or the pair differences, calls rhs and copies its accelerations into
-    acc[i].  rhs sees a view of the run's row, valid during the call."""
+    are (`model._PlaneForce`): bind wraps every stage row once, as a
+    read-only PlaneState view or as the PairState of its plus and minus
+    views, and returns stage(i, t).  That runs the origin guard on the
+    positions or the pair differences (which trips on an exact plus/minus
+    coincidence), calls rhs and copies its accelerations into acc[i].
+    rhs sees a view of the run's row, valid during the call."""
 
     def __init__(self, rhs, pair: bool):
         self.rhs = rhs
@@ -245,13 +249,12 @@ class _UserForce:
         shape = acc.shape[1:]
         halves = [row.reshape(2, -1, 2) for row in rows]
         if self.pair:
-            families = [_families(pos, vel) for pos, vel in halves]
-            diff = np.empty_like(families[0][0].positions)
+            pairs = [PairState._checked(*_families(pos, vel)) for pos, vel in halves]
+            diff = np.empty_like(pairs[0].plus.positions)
 
             def state(i):
-                plus, minus = families[i]
-                s = PairState(plus, minus)
-                check_origin_guard(np.subtract(plus.positions, minus.positions, out=diff))
+                s = pairs[i]
+                check_origin_guard(np.subtract(s.plus.positions, s.minus.positions, out=diff))
                 return s
         else:
             planes = [PlaneState._checked(pos, vel) for pos, vel in halves]

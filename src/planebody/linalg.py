@@ -5,21 +5,26 @@ conventions: eigenvalues sorted by (real, imag), with real parts that
 agree to rounding treated as equal, unit-norm eigenvector columns whose
 largest entry is real and positive, a 1-norm condition estimate of the
 eigenvector basis that flags defective matrices, and the package's own
-error types in place of numpy's LinAlgError.
+error types in place of numpy's LinAlgError.  A matrix with entries
+above 2**500 is scaled by a power of two for LAPACK, so its spectrum is
+exact up to the float64 limit.
 
 Equal inputs give bitwise equal outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DefectiveMatrixError, SingularMatrixError
+from .errors import BlowupError, ConvergenceError, DefectiveMatrixError, SingularMatrixError
 
 MAX_DIMENSION = 64
 DEFECT_THRESHOLD = 1e8
 PIVOT_RTOL = 1e-14
+# a matrix whose largest part exceeds this is scaled by a power of two for LAPACK
+_SCALE_LIMIT = 2.0 ** 500
 
 # real parts closer than this (relative to max |eigenvalue|) do not decide the order
 _SORT_RTOL = 1e-10
@@ -34,31 +39,50 @@ class EigenDecomposition:
     condition_estimate: float
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
-    m = np.array(a, dtype=np.complex128)
+def as_complex_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """Coerce to a square complex128 array, rejecting non-finite entries;
+    returns it with the largest absolute real or imaginary part."""
+    m = np.array(a, dtype=np.complex128, order="C")  # for the float64 view
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"{name} must be square with at least one row, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # one pass: the largest part is finite exactly when every entry is
+    big = float(np.abs(m.view(np.float64)).max())
+    if not math.isfinite(big):
         raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return m, big
 
 
-def _eigen_input(a) -> np.ndarray:
-    m = as_complex_matrix(a, "A")
+def _eigen_input(a) -> tuple[np.ndarray, int]:
+    """A as a checked complex matrix, and the power of two e it was scaled
+    down by: 0 unless its largest part exceeds 2**500, where LAPACK's
+    norms could overflow; then its largest part is brought into [0.5, 1).
+    The scaling and its inverse on the eigenvalues are exact, but for
+    entries that become subnormal, which are negligible against the
+    largest."""
+    m, big = as_complex_matrix(a, "A")
     n = m.shape[0]
     if n > MAX_DIMENSION:
         raise ValueError(f"matrix dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    return m
+    if big <= _SCALE_LIMIT:
+        return m, 0
+    e = math.frexp(big)[1]
+    return np.ldexp(m.view(np.float64), -e).view(np.complex128), e
+
+
+def _scaled_back(w: np.ndarray, e: int) -> np.ndarray:
+    """Eigenvalues w of A * 2**-e as eigenvalues of A; one that leaves
+    the float64 range comes back with an infinite part."""
+    if not e:
+        return w
+    with np.errstate(over="ignore"):  # an overflow is an infinite part
+        return np.ldexp(w.view(np.float64), e).view(np.complex128)
 
 
 def _sort_order(w: np.ndarray) -> np.ndarray:
     """Indices sorting w by (real, imag); real parts within rounding count as equal."""
     by_real = np.argsort(w.real, kind="stable")
     tol = _SORT_RTOL * float(np.max(np.abs(w)))
-    with np.errstate(over="ignore"):  # a gap that overflows is a gap
-        gaps = np.diff(w.real[by_real])
-    group = np.concatenate([[0], np.cumsum(gaps > tol)])
+    group = np.concatenate([[0], np.cumsum(np.diff(w.real[by_real]) > tol)])
     return by_real[np.lexsort((w.imag[by_real], group))]
 
 
@@ -68,7 +92,7 @@ def solve_linear(m, b) -> np.ndarray:
     Raises SingularMatrixError when the 1-norm condition number of M
     exceeds 1 / PIVOT_RTOL.
     """
-    mm = as_complex_matrix(m, "M")
+    mm, _ = as_complex_matrix(m, "M")
     bb = np.array(b, dtype=np.complex128)
     if bb.shape[0] != mm.shape[0] or bb.ndim not in (1, 2):
         raise ValueError(f"right-hand side shape {bb.shape} does not match matrix {mm.shape}")
@@ -83,18 +107,20 @@ def solve_linear(m, b) -> np.ndarray:
 
 
 def eigenvalues(a) -> np.ndarray:
-    """Sorted eigenvalues only (defined even for defective matrices)."""
-    m = _eigen_input(a)
+    """Sorted eigenvalues only (defined even for defective matrices); an
+    eigenvalue past the float64 range has an infinite part."""
+    m, e = _eigen_input(a)
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from None
-    return w[_sort_order(w)]
+    return _scaled_back(w[_sort_order(w)], e)
 
 
 def _eig_raw(a):
-    """Full decomposition without the defectiveness gate; returns (w, v, cond)."""
-    m = _eigen_input(a)
+    """Full decomposition without the defectiveness gate; returns (w, v, cond).
+    An eigenvalue past the float64 range is a BlowupError."""
+    m, e = _eigen_input(a)
     try:
         w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -105,6 +131,10 @@ def _eig_raw(a):
     big = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v = v * (np.conj(big) / np.abs(big))
     cond = float(np.linalg.cond(v, 1))  # inf when v is singular
+    w = _scaled_back(w, e)
+    if e and not np.isfinite(w).all():
+        k = int(np.argmin(np.isfinite(w)))
+        raise BlowupError(f"eigenvalue {k + 1} lies outside the float64 range")
     return w, v, cond
 
 
@@ -125,6 +155,8 @@ def eig(a) -> EigenDecomposition:
         defective or too close to defective for a reliable eigenbasis.
     ConvergenceError
         If LAPACK's eigenvalue iteration fails to converge.
+    BlowupError
+        If an eigenvalue lies outside the float64 range.
     """
     w, v, cond = _eig_raw(a)
     if cond > DEFECT_THRESHOLD:

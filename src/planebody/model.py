@@ -111,8 +111,9 @@ class PlaneState:
         once per run, over the rows of its stage inputs: the views stay
         bound for the run, and each stage checks its row for finiteness
         before the rhs reads it.
-    A pair sample or stage goes through the PairState constructor, which
-    keeps its exact-coincidence check.
+    A pair sample goes through the PairState constructor, which keeps its
+    exact-coincidence check; a pair stage row is wrapped once per run by
+    `PairState._checked`, and its stages run the origin guard instead.
     """
 
     positions: np.ndarray
@@ -220,6 +221,16 @@ class PairState:
             )
         if np.any(np.all(self.plus.positions == self.minus.positions, axis=1)):
             raise PairCollisionError("a plus/minus pair coincides exactly")
+
+    @classmethod
+    def _checked(cls, plus: PlaneState, minus: PlaneState) -> "PairState":
+        """Wrap the two family views of one integrator stage row, once
+        per run (`integrate._UserForce`): no checks.  Each stage runs the
+        origin guard on plus - minus, which trips on an exact coincidence."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "plus", plus)
+        object.__setattr__(s, "minus", minus)
+        return s
 
     @property
     def n(self) -> int:
@@ -338,11 +349,11 @@ def _kernel(alpha, z, zdot, error=OriginError, mu=0.0, out=None) -> np.ndarray:
     return acc
 
 
-def _accelerations(alpha, r, v, error=OriginError, mu=0.0) -> np.ndarray:
+def _accelerations(alpha, r, v, mu=0.0) -> np.ndarray:
     """The kernel on (n, 2) float64 positions r and velocities v, viewed as
     complex128 (copied only when their rows are not contiguous pairs);
     returns the (n, 2) float64 view of the complex accelerations."""
-    return _plane_view(_kernel(alpha, _complex_view(r), _complex_view(v), error, mu))
+    return _plane_view(_kernel(alpha, _complex_view(r), _complex_view(v), mu=mu))
 
 
 def _rotated(alpha: np.ndarray, mu: complex, t: float) -> np.ndarray:

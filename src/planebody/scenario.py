@@ -15,12 +15,12 @@ Schema (keys at the top level):
     outputs             optional list drawn from
                         ["trajectory", "comparison", "classification"]
 
-Validation failures raise ValidationError naming the offending field.
+Every number, at any depth, is a JSON number (int or float, not bool)
+that is finite in float64.  Failures raise ValidationError naming the field.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +64,24 @@ def _require(data: dict, field: str):
     return data[key]
 
 
-def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(field, f"expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError as exc:
-        raise ValidationError(field, str(exc)) from exc
-    if not math.isfinite(x):
-        raise ValidationError(field, "must be finite")
-    return x
-
-
 def _array(value, field: str, shape) -> np.ndarray:
-    """A frozen finite float64 array of the given shape (None: any length)."""
-    try:
-        return _frozen_array(value, shape, field)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(field, str(exc)) from exc
+    """A frozen finite float64 array of the given shape (None: any length;
+    () is one number) whose entries, at any depth, are JSON numbers: int
+    or float, not bool.  The lists are walked level by level and never
+    deeper than the shape, so no depth of nesting recurses."""
+    level = [value]
+    for _ in shape:
+        if not all(isinstance(row, list) for row in level):
+            break
+        level = [x for row in level for x in row]
+    else:
+        if not any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in level):
+            try:
+                return _frozen_array(value, shape, field)
+            except (ValueError, OverflowError):  # ragged, another shape, or not finite in float64
+                pass
+    dims = " x ".join("n" if k is None else str(k) for k in shape)
+    raise ValidationError(field, f"expected {dims} finite numbers" if shape else "expected a finite number")
 
 
 def _integrator(data) -> IntegratorConfig:
@@ -89,18 +89,11 @@ def _integrator(data) -> IntegratorConfig:
         return IntegratorConfig()
     if not isinstance(data, dict):
         raise ValidationError("integrator", "must be an object")
-    kwargs = {}
-    for key in ("rtol", "atol", "h_init", "h_min", "h_max"):
-        if key in data:
-            kwargs[key] = _number(data[key], f"integrator.{key}")
-    if "t_span" in data:
-        span = data["t_span"]
-        if not isinstance(span, (list, tuple)) or len(span) != 2:
-            raise ValidationError("integrator.t_span", "expected [t0, t1]")
-        kwargs["t_span"] = (
-            _number(span[0], "integrator.t_span"),
-            _number(span[1], "integrator.t_span"),
-        )
+    kwargs = {
+        key: _array(data[key], f"integrator.{key}", (2,) if key == "t_span" else ()).tolist()
+        for key in ("rtol", "atol", "h_init", "h_min", "h_max", "t_span")
+        if key in data
+    }
     if "samples" in data:
         samples = data["samples"]
         if isinstance(samples, bool) or not isinstance(samples, int):
@@ -135,21 +128,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     pair = None
     if variant == "generalized":
         params = data.get("generalized_params")
-        if params is None or not isinstance(params, dict):
-            raise ValidationError(
-                "generalized_params", "required object with keys lambda and omega"
-            )
+        if not isinstance(params, dict):
+            raise ValidationError("generalized_params", "required object with keys lambda and omega")
         lam, omega = (
-            _number(_require(params, field), field)
+            float(_array(_require(params, field), field, ()))
             for field in ("generalized_params.lambda", "generalized_params.omega")
         )
         generalized = GeneralizedParams(lam=lam, omega=omega)
     elif variant == "pair":
         params = data.get("pair_params")
-        if params is None or not isinstance(params, dict):
-            raise ValidationError(
-                "pair_params", "required object with keys Lambda and Omega"
-            )
+        if not isinstance(params, dict):
+            raise ValidationError("pair_params", "required object with keys Lambda and Omega")
         lam, omega = (
             _array(_require(params, field), field, (n,))
             for field in ("pair_params.Lambda", "pair_params.Omega")
@@ -195,6 +184,8 @@ def parse_scenario(path) -> Scenario:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"scenario file {path} nests too deeply to read: {exc}") from exc
     return scenario_from_dict(data)
 
 

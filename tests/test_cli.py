@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planebody import PlanebodyError
+from planebody import PlanebodyError, ValidationError
 from planebody.cli import _numeric_trajectory, main, read_trajectory_csv, write_trajectory_csv
 from planebody.integrate import IntegratorConfig, Trajectory, integrate
 from planebody.model import PlaneState, rhs_base, rhs_generalized, rhs_pair, zero_couplings
@@ -177,6 +177,14 @@ def _as_pair(data):
         pytest.param(lambda d: _as_pair(d)["initial"].pop(), "initial", id="pair-initial-2n-1-rows"),
         pytest.param(lambda d: d["initial"].append([0.5, 0.5, 0.0, 0.0]), "initial", id="initial-n+1-rows"),
         pytest.param(lambda d: d["integrator"].__setitem__("rtol", 10**400), "integrator.rtol", id="huge-int-rtol"),
+        pytest.param(lambda d: d["beta"][0].__setitem__(0, "1.5"), "beta", id="numeric-string-in-beta"),
+        pytest.param(lambda d: d["gamma"][0].__setitem__(0, True), "gamma", id="true-in-gamma"),
+        pytest.param(lambda d: d["gamma"].__setitem__(0, [2.0, False]), "gamma", id="false-in-gamma-row"),
+        pytest.param(lambda d: d["beta"][1].__setitem__(1, None), "beta", id="null-in-beta"),
+        pytest.param(lambda d: d["initial"][0].__setitem__(0, "1"), "initial", id="string-in-initial"),
+        pytest.param(lambda d: d["integrator"].__setitem__("rtol", "1e-9"), "integrator.rtol", id="string-rtol"),
+        pytest.param(lambda d: d["integrator"].__setitem__("t_span", [0.0, True]), "integrator.t_span", id="true-in-t_span"),
+        pytest.param(lambda d: d["integrator"].__setitem__("t_span", [0.0, 1.0, 2.0]), "integrator.t_span", id="t_span-of-3"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, mutate, field):
@@ -740,3 +748,52 @@ def test_unallocatable_sample_grid_exits_2_with_one_config_line(tmp_path, capsys
         argv += ["--samples", str(10**18)]
     argv += ["--scenario", _write_scenario(tmp_path, data)]
     assert _one_error_line(capsys, argv, "ConfigError") == 2
+
+
+def test_scalar_beta_names_the_field_once(tmp_path, capsys):
+    data = _basic_scenario()
+    data["beta"] = 3
+    assert main(["solve", "--scenario", _write_scenario(tmp_path, data), "--out-dir", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ValidationError: beta: "), lines
+    assert lines[0].count("beta") == 1 and "None" not in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["integrate", "compare"])
+@pytest.mark.parametrize("flag, value", [("--rtol", "inf"), ("--atol", "inf"), ("--rtol", "1e400")])
+def test_infinite_tolerance_flag_exits_2_with_one_validation_line(tmp_path, capsys, command, flag, value):
+    path = _write_scenario(tmp_path, builtin_scenarios()["damped"])
+    argv = [command, "--scenario", path, "--out-dir", str(tmp_path), flag, value]
+    assert _one_error_line(capsys, argv, "ValidationError") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["case.json"]
+
+
+@pytest.mark.parametrize("depth", [990, 10**5])
+def test_deeply_nested_scenario_exits_2_with_one_parse_line(tmp_path, capsys, depth):
+    text = json.dumps(_basic_scenario()).replace('"beta": [[0.0, 0.0], [0.0, 0.0]]', '"beta": ' + "[" * depth + "0.0" + "]" * depth)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = ["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]
+    assert _one_error_line(capsys, argv, "ParseError") == 2
+
+
+def test_deeply_nested_array_is_rejected_without_recursion():
+    # deeper than json.load reads, and than Python's recursion limit
+    beta = [0.0]
+    for _ in range(10**5):
+        beta = [beta]
+    data = _basic_scenario()
+    data["beta"] = beta
+    with pytest.raises(ValidationError, match="^beta: "):
+        scenario_from_dict(data)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_eigenvalue_past_the_float64_range_exits_1_with_one_overflow_line(tmp_path, capsys, command):
+    data = _basic_scenario("huge")
+    data["beta"] = [[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]
+    data["gamma"] = [[1.7e308, -1.7e308], [1.7e308, 1.7e308]]
+    assert main([command, "--scenario", _write_scenario(tmp_path, data), "--out-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["ERROR Overflow: eigenvalue 2 lies outside the float64 range"], lines

@@ -270,6 +270,36 @@ def test_stages_are_not_revalidated(monkeypatch, pair):
     assert counts[1][0] == counts[0][0]  # ... and no more validated arrays
 
 
+def test_pair_stages_build_no_pair_state(monkeypatch):
+    rng = np.random.default_rng(56)  # the pair run of test_stages_are_not_revalidated
+    p = PairSpec(base=random_couplings(rng, 2), lam=np.array([0.2, -0.1]), omega=np.array([0.8, 1.4]))
+    plus = random_state(rng, 2)
+    s0 = PairState(plus=plus, minus=PlaneState(plus.positions + 2.0, plus.velocities))
+    calls = []
+    real = PairState.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(PairState, "__post_init__", counting)
+    counts = []
+    for t_end, rtol in ((0.5, 1e-9), (4.0, 1e-12)):
+        before = len(calls)
+        cfg = IntegratorConfig(t_span=(0.0, t_end), sample_count=201, rtol=rtol)
+        traj = integrate(lambda t, s: rhs_pair(p, s), s0, cfg)
+        counts.append((len(calls) - before, traj.metadata["stats"]["rhs_evaluations"]))
+    assert counts[1][1] > counts[0][1] + 400  # hundreds more stages ...
+    assert counts[1][0] == counts[0][0]  # ... and no more PairState constructions
+
+
+@pytest.mark.parametrize("name", ["rtol", "atol", "h_init", "h_min", "h_max"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_tolerances_and_steps(name, value):
+    with pytest.raises(ValueError, match=name):
+        IntegratorConfig(**{name: value})
+
+
 def test_rhs_sees_read_only_stage_states():
     c, s0 = circle_setup()
     seen = []

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from planebody import DefectiveMatrixError, SingularMatrixError, eig, eigenvalues, solve_linear
+from planebody import BlowupError, DefectiveMatrixError, SingularMatrixError, eig, eigenvalues, solve_linear
 from planebody.linalg import MAX_DIMENSION, _eig_raw
 
 from _util import match_distance, random_complex_matrix
@@ -189,3 +189,37 @@ def test_eigenvalue_order_ignores_rounding_in_real_parts():
         q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
         a = q @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ q.T
         assert np.allclose(eigenvalues(a), [-1j, 1j], atol=1e-14)
+
+
+def _ldexp(w, e):
+    """ldexp of the real and imaginary parts of a complex array."""
+    out = np.empty_like(w)
+    out.real, out.imag = np.ldexp(w.real, e), np.ldexp(w.imag, e)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_scaled_spectrum_is_the_power_of_two_multiple_bit_for_bit(n):
+    rng = np.random.default_rng(160 + n)
+    b = random_complex_matrix(rng, n)
+    b *= 0.75 / np.max(np.abs(b.view(np.float64)))  # the largest part lies in [0.5, 1)
+    big = _ldexp(b, 1000)
+    assert np.array_equal(eigenvalues(big), _ldexp(eigenvalues(b), 1000))
+    w, v, cond = _eig_raw(big)
+    w0, v0, cond0 = _eig_raw(b)
+    assert np.array_equal(w, _ldexp(w0, 1000)) and np.array_equal(v, v0) and cond == cond0
+
+
+def test_eigenvalue_past_the_float64_range_is_infinite_or_overflow_not_nan():
+    # entries near the float64 limit: LAPACK's norm of the unscaled matrix
+    # is infinite, and its eigenvalues came back NaN
+    beta = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+    gamma = np.array([[1.7e308, -1.7e308], [1.7e308, 1.7e308]])
+    a = beta + 1j * gamma
+    w = eigenvalues(a)
+    assert not np.isnan(w).any()
+    assert np.isinf(w[-1].real) and np.isinf(w[-1].imag)  # 1.89 * 2**1024 (1 + i)
+    with pytest.raises(BlowupError, match="eigenvalue 2 lies outside the float64 range"):
+        eig(a)
+    # a spectrum that fits is exact up to the limit
+    assert np.array_equal(eigenvalues(np.diag([1.7e308, -1.7e308j])), [-1.7e308j, 1.7e308])
