@@ -37,6 +37,8 @@ from .integrate import Trajectory
 from .model import CouplingSpec, alpha_matrix
 
 MAX_FREQUENCY_MULTIPLE = 64
+FREQUENCY_RTOL = 1e-9
+PERIOD_RTOL = 1e-6
 TWO_PI = 2.0 * math.pi
 
 
@@ -64,20 +66,31 @@ class MotionClass:
             raise ValueError("all_damped and has_unstable are mutually exclusive")
 
 
+def _spectral_masks(w: np.ndarray, tol: float | None = None):
+    """classify's tolerance for spectrum w, which may be empty, with the
+    zero and purely imaginary masks it gives."""
+    mag = np.abs(w)
+    if tol is None:
+        big = float(mag.max(initial=0.0))
+        if not math.isfinite(big):
+            big = float(mag.max(initial=0.0, where=np.isfinite(mag)))
+        tol = max(1e-9 * big, 1e-12)
+    zero = mag <= tol
+    return tol, zero, (np.abs(w.real) <= tol) & ~zero
+
+
 def classify(eigenvalues, tol: float | None = None) -> MotionClass:
     """Classify a coupling spectrum.
 
     tol separates "zero" (|a| <= tol) from "purely imaginary"
-    (|Re a| <= tol < |a|); it defaults to 1e-9 * max|a_k| with an
-    absolute floor of 1e-12.
+    (|Re a| <= tol < |a|); it defaults to 1e-9 * max|a_k| over the
+    finite eigenvalues, with an absolute floor of 1e-12: an eigenvalue
+    past the float64 range has an infinite part and sets no scale.
     """
     w = np.asarray(eigenvalues, dtype=np.complex128).ravel()
     if w.size == 0:
         raise ValueError("need at least one eigenvalue")
-    if tol is None:
-        tol = max(1e-9 * float(np.max(np.abs(w))), 1e-12)
-    zero = np.abs(w) <= tol
-    imag = (np.abs(w.real) <= tol) & ~zero
+    tol, zero, imag = _spectral_masks(w, tol)
     damped = w.real < -tol
     unstable = w.real > tol
     all_imaginary = bool(np.all(imag))
@@ -94,19 +107,19 @@ def classify(eigenvalues, tol: float | None = None) -> MotionClass:
     )
 
 
-def classify_couplings(c: CouplingSpec, tol: float | None = None) -> MotionClass:
+def classify_couplings(c: CouplingSpec) -> MotionClass:
     """Classify a coupling matrix, filling the row-sum flag as well."""
     w = linalg.eigenvalues(alpha_matrix(c))
-    return replace(classify(w, tol), row_sums_zero=row_sums_zero(c))
+    return replace(classify(w), row_sums_zero=row_sums_zero(c))
 
 
-def rational_period(frequencies, tol: float = 1e-9) -> float | None:
+def rational_period(frequencies) -> float | None:
     """Minimal common period 2*pi/w0 of frequencies that are integer
     multiples (magnitude <= 64) of a common w0, or None.
 
     Ratios are rationalized by continued fractions (best rational
     approximation with denominator <= 64) and accepted when they match
-    to the given relative tolerance.
+    to the relative tolerance FREQUENCY_RTOL.
     """
     w = np.abs(np.asarray(frequencies, dtype=np.float64).ravel())
     if w.size == 0:
@@ -121,14 +134,14 @@ def rational_period(frequencies, tol: float = 1e-9) -> float | None:
         frac = Fraction(ratio).limit_denominator(MAX_FREQUENCY_MULTIPLE)
         if frac.numerator <= 0 or frac.numerator > MAX_FREQUENCY_MULTIPLE:
             return None
-        if abs(ratio - float(frac)) > tol * ratio:
+        if abs(ratio - float(frac)) > FREQUENCY_RTOL * ratio:
             return None
         lcm = lcm * frac.denominator // math.gcd(lcm, frac.denominator)
     w0 = base / lcm
     multiples = [round(float(wk) / w0) for wk in w]
     if any(m < 1 for m in multiples):
         return None
-    if any(abs(m * w0 - float(wk)) > tol * float(wk) for m, wk in zip(multiples, w)):
+    if any(abs(m * w0 - float(wk)) > FREQUENCY_RTOL * float(wk) for m, wk in zip(multiples, w)):
         return None
     g = multiples[0]
     for m in multiples[1:]:
@@ -280,15 +293,17 @@ def _lag_profile(y: np.ndarray, kmax: int) -> np.ndarray:
     return np.maximum(total - 2.0 * cross, 0.0) / (m - k)
 
 
-def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> float | None:
-    """Smallest period T with mean relative state distance |s(t+T) - s(t)| <= tol.
+def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
+    """Smallest period T with mean relative state distance
+    |s(t+T) - s(t)| <= PERIOD_RTOL.
 
     Candidates come from rational_period over the nonzero frequencies
     when a purely imaginary (possibly zero-padded) spectrum is
-    supplied.  Otherwise they are the local minima of the lag profile,
-    the mean squared state distance at each lag up to half the span,
-    built from one FFT autocorrelation; the profile is not computed
-    when the spectrum seeds a candidate.  Each candidate is refined
+    supplied, judged by classify's default tolerance.  Otherwise they
+    are the local minima of the lag profile, the mean squared state
+    distance at each lag up to half the span, built from one FFT
+    autocorrelation; the profile is not computed when the spectrum
+    seeds a candidate.  Each candidate is refined
     continuously, on a bracket of one sample either side, to the shift
     that minimises the mean squared distance to the Hermite-interpolated
     shifted trajectory: in closed form, from the ends and the roots of
@@ -322,19 +337,15 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
     np.ldexp(y, -math.frexp(peak)[1], out=y)  # max |y| in [0.5, 1): no square overflows
     scale = float(np.max(np.sqrt(np.sum(y * y, axis=1))))
     drift = np.sqrt(np.sum((y - y[0]) ** 2, axis=1)) / scale
-    if float(np.max(drift)) <= tol:
+    if float(np.max(drift)) <= PERIOD_RTOL:
         return None  # standstill, no meaningful period
 
     kmax = (m - 1) // 2
     candidates: list[float] = []  # in samples
     if eigenvalues is not None:
         w = np.asarray(eigenvalues, dtype=np.complex128).ravel()
-        t_seed = None
-        if w.size:
-            wtol = max(1e-9 * float(np.max(np.abs(w))), 1e-12)
-            freqs = w.imag[np.abs(w) > wtol]
-            if np.all(np.abs(w.real) <= wtol) and freqs.size:
-                t_seed = rational_period(freqs)
+        _, zero, imag = _spectral_masks(w)
+        t_seed = rational_period(w.imag[imag]) if np.all(zero | imag) else None
         if t_seed is not None:
             if t_seed > span / 2.0:
                 raise InsufficientSpanError(
@@ -354,6 +365,6 @@ def detect_period(traj: Trajectory, tol: float = 1e-6, eigenvalues=None) -> floa
         if hi <= lo:
             continue
         shift = distance.argmin(lo, hi)
-        if distance(shift) / scale <= tol:
+        if distance(shift) / scale <= PERIOD_RTOL:
             return shift * dt
     return None

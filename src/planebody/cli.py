@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import exact, linalg
-from .classify import classify, detect_period, rational_period
+from .classify import classify, detect_period
 from .errors import InsufficientSpanError, PlanebodyError, ScenarioError, ValidationError
 from .integrate import Trajectory, compare, integrate
 from .model import _PairForce, _PlaneForce, alpha_matrix, to_complex
@@ -147,13 +147,13 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
             fh.write(row % tuple(values.tolist()))
 
 
-def read_trajectory_csv(path: str, pair: bool = False) -> Trajectory:
+def read_trajectory_csv(path: str) -> Trajectory:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     p = (data.shape[1] - 1) // 4
     times = data[:, 0]
     pos = data[:, 1:].reshape(len(times), p, 4)[:, :, 0:2]
     vel = data[:, 1:].reshape(len(times), p, 4)[:, :, 2:4]
-    return Trajectory(times=times, positions=pos, velocities=vel, pair=pair)
+    return Trajectory(times=times, positions=pos, velocities=vel)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -281,20 +281,10 @@ def _cmd_demo(args) -> int:
 
     # Re-read through the parser so the demo exercises the documented format.
     sc = _apply_overrides(parse_scenario(scenario_path), args)
-    outputs = set(sc.outputs)
-    traj = None
-    if "comparison" in outputs:
-        traj = _run_compare(sc, args)
-    elif "trajectory" in outputs:
-        traj = _exact_trajectory(sc)
-        path = _out_path(args, f"{sc.name}_exact.csv")
-        write_trajectory_csv(path, traj)
-        print(f"wrote {path}")
-    if "classification" in outputs:
-        lines = _classification_lines(sc, traj)
-        path = _out_path(args, f"{sc.name}_classify.txt")
-        _write_lines(path, lines)
-        print(f"wrote {path}")
+    lines = _classification_lines(sc, _run_compare(sc, args))
+    path = _out_path(args, f"{sc.name}_classify.txt")
+    _write_lines(path, lines)
+    print(f"wrote {path}")
     return 0
 
 

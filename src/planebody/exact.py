@@ -268,7 +268,9 @@ def _raise_failure(k: int, exponent, z, zdot, t) -> None:
             f"(exponent {re[j, k]:.6g}, double-exponential overflow)",
             time=float(np.real(tk)),
         )
-    raise OriginError("complex state has a particle exactly at the origin")
+    j = int(np.argmin(z[:, k] != 0.0))
+    msg = f"particle {j + 1} position underflows to the origin at t = {tk}"
+    raise OriginError(msg, time=float(np.real(tk)))
 
 
 def _reduced_phase(x: np.ndarray) -> np.ndarray:
@@ -295,27 +297,24 @@ def tau_map(g: GeneralizedParams, t):
     whenever omega*t rounds onto a multiple of 2*pi.
     """
     t = np.asarray(t, dtype=np.float64)
-    if g.lam == 0.0 and g.omega != 0.0:
-        theta = _reduced_phase(np.atleast_1d(g.omega * t)).reshape(t.shape)
-        tau = (theta / g.omega) * phi1(1j * theta)
-    else:
-        tau = t * phi1(complex(g.lam, g.omega) * t)
+    tau = _time_substitution(g, np.atleast_1d(t))[0].reshape(t.shape)
     return complex(tau) if t.ndim == 0 else tau
 
 
-def _tau_dot(g: GeneralizedParams, t: np.ndarray) -> np.ndarray:
-    """dtau/dt = exp((lam + i omega) t) on an array of times."""
+def _time_substitution(g: GeneralizedParams, t: np.ndarray):
+    """tau(t) and dtau/dt = exp((lam + i omega) t) on an array of times,
+    from one reduced phase when lam = 0 (see tau_map)."""
     if g.lam == 0.0 and g.omega != 0.0:
         theta = _reduced_phase(g.omega * t)
-        return np.cos(theta) + 1j * np.sin(theta)
-    return _cexp(complex(g.lam, g.omega) * t)
+        return (theta / g.omega) * phi1(1j * theta), np.cos(theta) + 1j * np.sin(theta)
+    mt = complex(g.lam, g.omega) * t
+    return t * phi1(mt), _cexp(mt)
 
 
 def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams, t: np.ndarray):
     """eval_generalized over an array of physical times t, as (n, m) arrays."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _eval_grid
-        tau = tau_map(g, t)
-        rate = _tau_dot(g, t)
+        tau, rate = _time_substitution(g, t)
     return _eval_grid(sol, tau, t, rate)
 
 
@@ -454,8 +453,9 @@ def similarity_trajectory(spec: SimilaritySpec, t: float) -> PlaneState:
     return PlaneState(pos, vel)
 
 
-def row_sums_zero(c: CouplingSpec, tol: float | None = None) -> bool:
-    """True when every row of beta + i gamma sums to zero (similarity condition).
+def row_sums_zero(c: CouplingSpec) -> bool:
+    """True when every row of beta + i gamma sums to zero (similarity
+    condition), to 1e-9 of the largest coupling magnitude, at least 1e-12.
 
     Couplings of magnitude one or more are first scaled down by a power
     of two, which is exact and keeps the sums finite for any finite input.
@@ -465,8 +465,7 @@ def row_sums_zero(c: CouplingSpec, tol: float | None = None) -> bool:
     a = alpha_matrix(c) * unit
     sums = np.abs(a @ np.ones(c.n))
     scale = float(np.max(np.abs(a)))
-    tol = max(1e-9 * scale, 1e-12 * unit) if tol is None else tol * unit
-    return bool(np.max(sums) <= tol)
+    return bool(np.max(sums) <= max(1e-9 * scale, 1e-12 * unit))
 
 
 def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Trajectory:

@@ -473,7 +473,7 @@ def _first_derivative(deriv, t0):
         ) from trip.cause
 
 
-def trajectory_from_states(times, states, pair: bool = False, metadata: dict | None = None) -> Trajectory:
+def trajectory_from_states(times, states, pair: bool = False) -> Trajectory:
     """Assemble a Trajectory from per-sample PlaneState or PairState values.
 
     A Trajectory (exact_states, the pair grid) is re-timed: its frozen
@@ -490,13 +490,7 @@ def trajectory_from_states(times, states, pair: bool = False, metadata: dict | N
             p, v = _stacked(s)
             pos.append(p)
             vel.append(v)
-    return Trajectory(
-        times=times,
-        positions=pos,
-        velocities=vel,
-        pair=pair,
-        metadata=metadata or {},
-    )
+    return Trajectory(times=times, positions=pos, velocities=vel, pair=pair)
 
 
 @dataclass(frozen=True)

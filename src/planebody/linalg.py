@@ -6,8 +6,8 @@ agree to rounding treated as equal, unit-norm eigenvector columns whose
 largest entry is real and positive, a 1-norm condition estimate of the
 eigenvector basis that flags defective matrices, and the package's own
 error types in place of numpy's LinAlgError.  A matrix with entries
-above 2**500 is scaled by a power of two for LAPACK, so its spectrum is
-exact up to the float64 limit.
+above 2**500, or nonzero ones all below 2**-459, is scaled by a power of
+two for LAPACK, so its spectrum is exact up to the float64 limit.
 
 Equal inputs give bitwise equal outputs.
 """
@@ -23,8 +23,11 @@ from .errors import BlowupError, ConvergenceError, DefectiveMatrixError, Singula
 MAX_DIMENSION = 64
 DEFECT_THRESHOLD = 1e8
 PIVOT_RTOL = 1e-14
-# a matrix whose largest part exceeds this is scaled by a power of two for LAPACK
+# a nonzero matrix whose largest part lies outside [_SCALE_FLOOR, _SCALE_LIMIT]
+# is scaled by a power of two for LAPACK: below sqrt(safmin) / eps = 2**-459
+# zgeev would scale it itself, and not exactly
 _SCALE_LIMIT = 2.0 ** 500
+_SCALE_FLOOR = 2.0 ** -459
 
 # real parts closer than this (relative to max |eigenvalue|) do not decide the order
 _SORT_RTOL = 1e-10
@@ -55,15 +58,15 @@ def as_complex_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
 def _eigen_input(a) -> tuple[np.ndarray, int]:
     """A as a checked complex matrix, and the power of two e it was scaled
     down by: 0 unless its largest part exceeds 2**500, where LAPACK's
-    norms could overflow; then its largest part is brought into [0.5, 1).
-    The scaling and its inverse on the eigenvalues are exact, but for
-    entries that become subnormal, which are negligible against the
-    largest."""
+    norms could overflow, or is nonzero and below 2**-459; then its
+    largest part is brought into [0.5, 1).  The scaling and its inverse
+    on the eigenvalues are exact, but for values that are or become
+    subnormal, which are negligible against the largest."""
     m, big = as_complex_matrix(a, "A")
     n = m.shape[0]
     if n > MAX_DIMENSION:
         raise ValueError(f"matrix dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    if big <= _SCALE_LIMIT:
+    if _SCALE_FLOOR <= big <= _SCALE_LIMIT or big == 0.0:
         return m, 0
     e = math.frexp(big)[1]
     return np.ldexp(m.view(np.float64), -e).view(np.complex128), e

@@ -12,8 +12,8 @@ Schema (keys at the top level):
                         for the pair variant (plus family first)
     integrator          optional {"rtol", "atol", "h_init", "h_min",
                         "t_span": [t0, t1], "samples", "h_max"}
-    outputs             optional list drawn from
-                        ["trajectory", "comparison", "classification"]
+    outputs             optional list drawn from ["trajectory", "comparison",
+                        "classification"]; validated, read by no subcommand
 
 Every number, at any depth, is a JSON number (int or float, not bool)
 that is finite in float64.  Failures raise ValidationError naming the field.

@@ -470,3 +470,37 @@ def test_detect_period_non_finite_returns_none(bad, part):
     broken = Trajectory(traj.times, arrays["positions"], arrays["velocities"])
     for eigenvalues in ([1j], None):
         assert detect_period(broken, eigenvalues=eigenvalues) is None
+
+
+@pytest.mark.parametrize("m, t_end", [(3, 5.0 * math.pi), (4, 4.0 * math.pi)])
+def test_detect_period_on_three_or_four_samples(m, t_end):
+    # fewer than 5 samples take the second-order differences of np.gradient;
+    # on 3 samples the seeded candidate 0.8 dt has no bracket, and on 4 the
+    # grid is too coarse to confirm 2 pi, seeded or blind
+    traj = _circle_trajectory(t_end=t_end, m=m)
+    vel = _flatten_states(traj)[:, 2:]
+    assert np.array_equal(_fd_acceleration(vel, 1.0), np.gradient(vel, 1.0, axis=0))
+    assert detect_period(traj, eigenvalues=[1j]) is None
+    assert detect_period(traj) is None
+
+
+def test_detect_period_at_the_origin_returns_none():
+    times = np.linspace(0.0, 1.0, 11)
+    zeros = np.zeros((11, 1, 2))
+    assert detect_period(Trajectory(times=times, positions=zeros, velocities=zeros)) is None
+
+
+def test_rational_period_rejects_a_common_multiple_above_64():
+    # each ratio to the base is a fraction with terms <= 64, but the common
+    # base frequency needs multiples 3906, 3968 and 3969
+    assert rational_period([1.0, 64.0 / 63.0, 63.0 / 62.0]) is None
+
+
+def test_detect_period_positional_spectrum_is_a_type_error():
+    with pytest.raises(TypeError):
+        detect_period(_circle_trajectory(), 1e-6)
+
+
+def test_classify_infinite_eigenvalue_sets_no_scale():
+    mc = classify([-2.0 + 1.0j, complex(math.inf, math.inf)])
+    assert mc.has_unstable and not mc.has_zero_mode and not mc.all_damped

@@ -185,6 +185,13 @@ def _as_pair(data):
         pytest.param(lambda d: d["integrator"].__setitem__("rtol", "1e-9"), "integrator.rtol", id="string-rtol"),
         pytest.param(lambda d: d["integrator"].__setitem__("t_span", [0.0, True]), "integrator.t_span", id="true-in-t_span"),
         pytest.param(lambda d: d["integrator"].__setitem__("t_span", [0.0, 1.0, 2.0]), "integrator.t_span", id="t_span-of-3"),
+        pytest.param(lambda d: d.__setitem__("integrator", [0.0, 1.0]), "integrator", id="integrator-not-object"),
+        pytest.param(lambda d: d["integrator"].__setitem__("samples", 2.5), "integrator.samples", id="fractional-samples"),
+        pytest.param(lambda d: d["integrator"].__setitem__("samples", True), "integrator.samples", id="true-samples"),
+        pytest.param(lambda d: d.__setitem__("name", ""), "name", id="empty-name"),
+        pytest.param(lambda d: d.__setitem__("name", 3), "name", id="number-name"),
+        pytest.param(lambda d: d.__setitem__("variant", "generalized"), "generalized_params", id="generalized-without-params"),
+        pytest.param(lambda d: d.__setitem__("outputs", "comparison"), "outputs", id="outputs-string"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, mutate, field):
@@ -797,3 +804,58 @@ def test_eigenvalue_past_the_float64_range_exits_1_with_one_overflow_line(tmp_pa
     assert main([command, "--scenario", _write_scenario(tmp_path, data), "--out-dir", str(tmp_path)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["ERROR Overflow: eigenvalue 2 lies outside the float64 range"], lines
+
+
+def test_top_level_list_exits_2_naming_the_scenario(tmp_path, capsys):
+    path = _write_scenario(tmp_path, [_basic_scenario()])
+    assert main(["solve", "--scenario", path, "--out-dir", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["ERROR ValidationError: scenario: top level must be an object"], lines
+
+
+def test_scenario_without_integrator_gets_the_defaults():
+    data = _basic_scenario()
+    del data["integrator"]
+    assert scenario_from_dict(data).integrator == IntegratorConfig()
+
+
+def test_classify_reports_a_period_longer_than_half_the_span_unavailable(tmp_path):
+    # gamma = diag(1, 2): predicted period 2 pi, sampled over 5 time units
+    sc = _basic_scenario()
+    sc["integrator"] = {"t_span": [0.0, 5.0], "samples": 51}
+    assert main(["classify", "--scenario", _write_scenario(tmp_path, sc), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "case_classify.txt").read_text().splitlines()
+    assert "detected_period: unavailable (time span shorter than twice the candidate period)" in lines
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a stderr line
+def test_classify_flags_an_infinite_eigenvalue_unstable_not_zero(tmp_path, capsys):
+    # eigenvalue 2 is inf + inf i; it sets no scale for the zero tolerance
+    data = _basic_scenario("huge")
+    data["beta"] = [[1.7e308, 1.7e308], [-1.7e308, 1.7e308]]
+    data["gamma"] = [[1.7e308, -1.7e308], [1.7e308, 1.7e308]]
+    assert main(["classify", "--scenario", _write_scenario(tmp_path, data), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "huge_classify.txt").read_text().splitlines()
+    assert "has_zero_mode: false" in lines and "has_unstable: true" in lines
+
+
+def test_classify_prints_tiny_eigenvalues_exactly(tmp_path):
+    data = _basic_scenario("tiny")
+    data["beta"] = [[1e-300, 0.0], [0.0, 2e-300]]
+    data["gamma"] = [[0.0, 0.0], [0.0, 0.0]]
+    assert main(["classify", "--scenario", _write_scenario(tmp_path, data), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "tiny_classify.txt").read_text().splitlines()
+    assert f"eigenvalue_1: {1e-300:.17g}+0i" in lines and f"eigenvalue_2: {2e-300:.17g}+0i" in lines
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_position_underflow_names_the_particle_and_time(tmp_path, capsys):
+    # z = 1e-160 exp(-400 t): exactly 0 in float64 at t = 1
+    data = _basic_scenario("under")
+    data.update(beta=[[0.0]], gamma=[[0.0]], initial=[[1e-160, 0.0, -4e-158, 0.0]])
+    data["integrator"] = {"t_span": [0.0, 1.0], "samples": 11}
+    argv = ["solve", "--scenario", _write_scenario(tmp_path, data), "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["ERROR OriginState: particle 1 position underflows to the origin at t = 1.0"], lines

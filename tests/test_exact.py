@@ -705,3 +705,12 @@ def test_trajectory_arrays_from_grids_are_c_ordered(monkeypatch, pair):
         want = np.stack([a.real.T, a.imag.T], axis=2)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_position_underflow_is_an_origin_error_at_its_time():
+    # z = 1e-160 exp(-400 t) underflows to exactly 0 at t = 1
+    sol = spectral_solve(zero_couplings(1), ComplexState([1e-160 + 0.0j], [-4e-158 + 0.0j]))
+    assert sol.n == 1
+    with pytest.raises(OriginError, match=r"^particle 1 position underflows to the origin at t = 1\.0$") as info:
+        exact_states(sol, np.linspace(0.0, 1.0, 11))
+    assert info.value.time == 1.0

@@ -628,3 +628,21 @@ def test_interpolant_at_theta_one_is_the_accepted_state(pair):
     accepted = inputs[-1]
     scale = float(np.max(np.abs(accepted)))
     assert np.max(np.abs(sampled - accepted)) <= 8 * np.finfo(float).eps * scale
+
+
+def test_built_in_force_of_the_wrong_size_is_rejected():
+    cfg = IntegratorConfig(t_span=(0.0, 1.0), sample_count=3)
+    s1 = PlaneState([[1.0, 0.0]], [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="does not fit the initial state"):
+        integrate(_PlaneForce(zero_couplings(2)), s1, cfg)
+    p = PairSpec(base=zero_couplings(1), lam=np.zeros(1), omega=np.zeros(1))
+    with pytest.raises(ValueError, match="does not fit the initial state"):
+        integrate(_PairForce(p), s1, cfg)
+
+
+def test_compare_of_unequal_shapes():
+    times = np.linspace(0.0, 1.0, 3)
+    one = [PlaneState([[2.0, 0.0]], [[0.0, 1.0]]) for _ in times]
+    two = [PlaneState([[2.0, 0.0], [0.0, 2.0]], np.zeros((2, 2))) for _ in times]
+    with pytest.raises(GridMismatchError, match="trajectory shapes differ"):
+        compare(trajectory_from_states(times, one), trajectory_from_states(times, two))

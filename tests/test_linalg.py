@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from planebody import BlowupError, DefectiveMatrixError, SingularMatrixError, eig, eigenvalues, solve_linear
+from planebody import BlowupError, ConvergenceError, DefectiveMatrixError, SingularMatrixError, eig, eigenvalues, solve_linear
 from planebody.linalg import MAX_DIMENSION, _eig_raw
 
 from _util import match_distance, random_complex_matrix
@@ -223,3 +223,40 @@ def test_eigenvalue_past_the_float64_range_is_infinite_or_overflow_not_nan():
         eig(a)
     # a spectrum that fits is exact up to the limit
     assert np.array_equal(eigenvalues(np.diag([1.7e308, -1.7e308j])), [-1.7e308j, 1.7e308])
+
+
+def test_solve_linear_rejects_a_bad_right_hand_side():
+    m = [[2.0, 1.0], [1.0, 3.0]]
+    with pytest.raises(ValueError, match="does not match matrix"):
+        solve_linear(m, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_linear(m, [1.0, np.nan])
+
+
+def test_lapack_nonconvergence_is_a_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigenvalues([[1.0]])
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _eig_raw([[1.0]])
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("k", [460, 700, 900])
+def test_tiny_spectrum_is_the_power_of_two_multiple_bit_for_bit(n, k):
+    # below 2**-459 zgeev would scale the matrix itself, and round it
+    rng = np.random.default_rng(180 + n)
+    b = random_complex_matrix(rng, n)
+    b *= 0.75 / np.max(np.abs(b.view(np.float64)))  # the largest part lies in [0.5, 1)
+    w0 = eigenvalues(b)
+    for parts in (b.view(np.float64), w0.view(np.float64)):
+        assert np.min(np.abs(parts[parts != 0.0])) >= 2.0 ** (k - 1022)  # stays normal
+    tiny = _ldexp(b, -k)
+    assert np.array_equal(eigenvalues(tiny), _ldexp(w0, -k))
+    w, v, cond = _eig_raw(tiny)
+    w1, v1, cond1 = _eig_raw(b)
+    assert np.array_equal(w, _ldexp(w1, -k)) and np.array_equal(v, v1) and cond == cond1

@@ -386,3 +386,33 @@ def test_guard_reduction_decides_as_numpy_min_and_max():
     assert 0 < sum(decided) < len(cases)
     for r2 in cases:
         assert _guard_outcome(r2) == _reduction_reference(r2)
+
+
+def test_parameter_containers_reject_bad_fields():
+    with pytest.raises(ValueError, match="lam must be finite"):
+        GeneralizedParams(lam=math.inf)
+    with pytest.raises(ValueError, match="base must be a CouplingSpec"):
+        PairSpec(base=np.zeros((2, 2)), lam=np.zeros(2), omega=np.zeros(2))
+    one = PlaneState([[1.0, 0.0]], [[0.0, 0.0]])
+    two = PlaneState([[2.0, 0.0], [0.0, 2.0]], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="must be PlaneState instances"):
+        PairState(plus=to_complex(one), minus=one)
+    with pytest.raises(ValueError, match="family sizes differ"):
+        PairState(plus=two, minus=one)
+
+
+def test_complex_and_pair_laws_reject_a_state_of_the_wrong_size():
+    one = PlaneState([[1.0, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="does not match state size"):
+        rhs_complex(zero_couplings(2), to_complex(one))
+    p = PairSpec(base=zero_couplings(2), lam=np.zeros(2), omega=np.zeros(2))
+    with pytest.raises(ValueError, match="does not match state size"):
+        rhs_pair(p, PairState(plus=one, minus=PlaneState([[-1.0, 0.0]], [[0.0, 0.0]])))
+
+
+def test_rhs_complex_trips_its_relative_origin_guard():
+    # 1e-14 is not exactly the origin, so the state is built, but it is
+    # inside the guard next to a unit-radius particle
+    s = ComplexState([1e-14 + 0.0j, 1.0 + 0.0j], [0.0j, 1.0j])
+    with pytest.raises(OriginError, match="inside the origin guard"):
+        rhs_complex(zero_couplings(2), s)
