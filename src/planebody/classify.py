@@ -68,7 +68,8 @@ class MotionClass:
 
 def _spectral_masks(w: np.ndarray, tol: float | None = None):
     """classify's tolerance for spectrum w, which may be empty, with the
-    zero and purely imaginary masks it gives."""
+    zero and purely imaginary masks it gives; an eigenvalue with an
+    infinite part is in neither mask."""
     mag = np.abs(w)
     if tol is None:
         big = float(mag.max(initial=0.0))
@@ -76,7 +77,7 @@ def _spectral_masks(w: np.ndarray, tol: float | None = None):
             big = float(mag.max(initial=0.0, where=np.isfinite(mag)))
         tol = max(1e-9 * big, 1e-12)
     zero = mag <= tol
-    return tol, zero, (np.abs(w.real) <= tol) & ~zero
+    return tol, zero, (np.abs(w.real) <= tol) & ~zero & np.isfinite(mag)
 
 
 def classify(eigenvalues, tol: float | None = None) -> MotionClass:

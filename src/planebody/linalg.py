@@ -6,7 +6,7 @@ agree to rounding treated as equal, unit-norm eigenvector columns whose
 largest entry is real and positive, a 1-norm condition estimate of the
 eigenvector basis that flags defective matrices, and the package's own
 error types in place of numpy's LinAlgError.  A matrix with entries
-above 2**500, or nonzero ones all below 2**-459, is scaled by a power of
+above 2**458, or nonzero ones all below 2**-459, is scaled by a power of
 two for LAPACK, so its spectrum is exact up to the float64 limit.
 
 Equal inputs give bitwise equal outputs.
@@ -24,9 +24,10 @@ MAX_DIMENSION = 64
 DEFECT_THRESHOLD = 1e8
 PIVOT_RTOL = 1e-14
 # a nonzero matrix whose largest part lies outside [_SCALE_FLOOR, _SCALE_LIMIT]
-# is scaled by a power of two for LAPACK: below sqrt(safmin) / eps = 2**-459
-# zgeev would scale it itself, and not exactly
-_SCALE_LIMIT = 2.0 ** 500
+# is scaled by a power of two for LAPACK: zgeev scales a matrix itself, and not
+# exactly, when its largest modulus (up to sqrt(2) times the largest part) lies
+# outside [sqrt(safmin) / eps, eps / sqrt(safmin)] = [2**-459, 2**459]
+_SCALE_LIMIT = 2.0 ** 458
 _SCALE_FLOOR = 2.0 ** -459
 
 # real parts closer than this (relative to max |eigenvalue|) do not decide the order
@@ -57,8 +58,8 @@ def as_complex_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
 
 def _eigen_input(a) -> tuple[np.ndarray, int]:
     """A as a checked complex matrix, and the power of two e it was scaled
-    down by: 0 unless its largest part exceeds 2**500, where LAPACK's
-    norms could overflow, or is nonzero and below 2**-459; then its
+    down by: 0 unless its largest part exceeds 2**458 or is nonzero and
+    below 2**-459, where zgeev would rescale it inexactly; then its
     largest part is brought into [0.5, 1).  The scaling and its inverse
     on the eigenvalues are exact, but for values that are or become
     subnormal, which are negligible against the largest."""

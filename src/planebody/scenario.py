@@ -49,7 +49,6 @@ class Scenario:
     pair: PairSpec | None
     initial: PlaneState | PairState
     integrator: IntegratorConfig
-    outputs: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -157,7 +156,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     integrator = _integrator(data.get("integrator"))
 
-    outputs = data.get("outputs", ["trajectory"])
+    outputs = data.get("outputs", [])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise ValidationError("outputs", "must be a list of strings")
     bad = [o for o in outputs if o not in OUTPUT_KINDS]
@@ -172,7 +171,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         pair=pair,
         initial=initial,
         integrator=integrator,
-        outputs=tuple(outputs),
     )
 
 

@@ -504,3 +504,15 @@ def test_detect_period_positional_spectrum_is_a_type_error():
 def test_classify_infinite_eigenvalue_sets_no_scale():
     mc = classify([-2.0 + 1.0j, complex(math.inf, math.inf)])
     assert mc.has_unstable and not mc.has_zero_mode and not mc.all_damped
+
+
+def test_classify_infinite_frequency_is_not_purely_imaginary():
+    mc = classify([1j, complex(0.0, math.inf)])
+    assert not mc.all_imaginary and mc.completely_periodic is None
+    assert mc.has_imaginary and not mc.has_unstable and not mc.has_zero_mode
+
+
+def test_detect_period_infinite_frequency_seeds_no_candidate():
+    # the spectrum is not purely imaginary, so the lag profile finds the period
+    t = detect_period(_circle_trajectory(), eigenvalues=[1j, complex(0.0, math.inf)])
+    assert t == pytest.approx(TWO_PI, rel=1e-6)

@@ -859,3 +859,16 @@ def test_position_underflow_names_the_particle_and_time(tmp_path, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["ERROR OriginState: particle 1 position underflows to the origin at t = 1.0"], lines
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a stderr line
+def test_classify_with_an_infinite_frequency_exits_0(tmp_path, capsys):
+    # eigenvalue 2 overflows to inf*i; its real part is rounding noise
+    data = _basic_scenario("inffreq")
+    data["gamma"] = [[1.7e308, 1e308], [1e308, 1.7e308]]
+    path = _write_scenario(tmp_path, data)
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "all_imaginary: false" in captured.out.splitlines()
+    assert "eigenvalue_2: 0+infi" in captured.out.splitlines()

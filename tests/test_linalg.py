@@ -210,6 +210,20 @@ def test_scaled_spectrum_is_the_power_of_two_multiple_bit_for_bit(n):
     assert np.array_equal(w, _ldexp(w0, 1000)) and np.array_equal(v, v0) and cond == cond0
 
 
+@pytest.mark.parametrize("n", [2, 8, 32])
+@pytest.mark.parametrize("k", [459, 480, 500])
+def test_spectrum_between_2_458_and_2_500_is_the_power_of_two_multiple_bit_for_bit(n, k):
+    # zgeev scales a matrix whose largest modulus exceeds 2**459 itself, and rounds it
+    rng = np.random.default_rng(190 + n)
+    b = random_complex_matrix(rng, n)
+    b *= 0.75 / np.max(np.abs(b.view(np.float64)))  # the largest part lies in [0.5, 1)
+    big = _ldexp(b, k)
+    assert np.array_equal(eigenvalues(big), _ldexp(eigenvalues(b), k))
+    w, v, cond = _eig_raw(big)
+    w0, v0, cond0 = _eig_raw(b)
+    assert np.array_equal(w, _ldexp(w0, k)) and np.array_equal(v, v0) and cond == cond0
+
+
 def test_eigenvalue_past_the_float64_range_is_infinite_or_overflow_not_nan():
     # entries near the float64 limit: LAPACK's norm of the unscaled matrix
     # is infinite, and its eigenvalues came back NaN
