@@ -13,14 +13,17 @@ self-similar motions.
 detect_period confirms periods empirically on sampled trajectories.
 A purely imaginary spectrum seeds its candidate period; without one,
 the candidates are the local minima of the mean squared state distance
-over all lags, built in O(m log m) from one FFT autocorrelation.  The
+over all lags, built in O(d m log m) for d state columns: their power
+spectra are summed and one inverse FFT gives the autocorrelation.  The
 trajectory is compared with its copy shifted by a fraction of a sample,
 Hermite-interpolated.  On each sample interval the summed squared
 distance is a degree-6 polynomial in that fraction, so each candidate
 is refined in closed form to the shift that minimises the mean squared
 distance, as the lag profile does over whole lags, and accepted by the
 mean distance at that shift.  Both are formed from offset differences
-of the samples, so refining subtracts no nearly equal states.
+of the samples, so refining subtracts no nearly equal states.  A
+candidate whose bracket a lower bound on a few rows keeps above the
+tolerance is dropped before it is refined.
 """
 from __future__ import annotations
 
@@ -125,6 +128,8 @@ def rational_period(frequencies) -> float | None:
     w = np.abs(np.asarray(frequencies, dtype=np.float64).ravel())
     if w.size == 0:
         return None
+    if not np.isfinite(w).all():
+        raise ValueError("frequencies must be finite")
     if np.any(w == 0.0):
         raise ValueError("frequencies must be nonzero")
     w = np.sort(w)
@@ -140,8 +145,6 @@ def rational_period(frequencies) -> float | None:
         lcm = lcm * frac.denominator // math.gcd(lcm, frac.denominator)
     w0 = base / lcm
     multiples = [round(float(wk) / w0) for wk in w]
-    if any(m < 1 for m in multiples):
-        return None
     if any(abs(m * w0 - float(wk)) > FREQUENCY_RTOL * float(wk) for m, wk in zip(multiples, w)):
         return None
     g = multiples[0]
@@ -170,11 +173,20 @@ def _fd_acceleration(vel: np.ndarray, dt: float) -> np.ndarray:
     if m < 5:
         acc[:] = np.gradient(vel, dt, axis=0)
         return acc
-    acc[2:-2] = (vel[:-4] - 8.0 * vel[1:-3] + 8.0 * vel[3:-1] - vel[4:]) / (12.0 * dt)
+    # (vel[:-4] - 8 vel[1:-3] + 8 vel[3:-1] - vel[4:]) / (12 dt), in that order
+    inner, term = acc[2:-2], np.multiply(vel[1:-3], 8.0)
+    np.subtract(vel[:-4], term, out=inner)
+    inner += np.multiply(vel[3:-1], 8.0, out=term)
+    inner -= vel[4:]
+    inner /= 12.0 * dt
     for i in (0, 1):
         acc[i] = (-3.0 * vel[i] + 4.0 * vel[i + 1] - vel[i + 2]) / (2.0 * dt)
         acc[-1 - i] = (3.0 * vel[-1 - i] - 4.0 * vel[-2 - i] + vel[-3 - i]) / (2.0 * dt)
     return acc
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 class _ShiftDistance:
@@ -209,12 +221,19 @@ class _ShiftDistance:
     ])
     # the power of theta that entry [p, q] of a flattened 4x4 matrix multiplies: p + q
     _POWER = np.add.outer(np.arange(4), np.arange(4)).ravel()
+    # rows that exceeds() reads: on a bracket that misses the period their
+    # bound clears 2 * PERIOD_RTOL many times over, at next to no cost
+    _SCREEN_ROWS = 32
 
     def __init__(self, y: np.ndarray, dt: float, count: int):
-        vel = y[:, y.shape[1] // 2:]
+        half = y.shape[1] // 2
+        # a pass over the strided velocity half costs a call per row: copy it once
+        vel = np.ascontiguousarray(y[:, half:])
         self.y = y
+        self.slope = np.empty_like(y)
+        np.multiply(dt, vel, out=self.slope[:, :half])
         # dt times the finite-difference acceleration is the difference at unit spacing
-        self.slope = np.concatenate([dt * vel, _fd_acceleration(vel, 1.0)], axis=1)
+        self.slope[:, half:] = _fd_acceleration(vel, 1.0)
         self.count = count
         self._sum = np.empty((count, y.shape[1]))
         self._term = np.empty_like(self._sum)
@@ -231,7 +250,36 @@ class _ShiftDistance:
         d += np.multiply(term, w[1], out=term)
         d += np.multiply(self.slope[j:j + c], w[2], out=term)
         d += np.multiply(self.slope[j + 1:j + 1 + c], w[3], out=term)
-        return float(np.mean(np.sqrt(np.einsum("ij,ij->i", d, d))))
+        return float(np.mean(_row_norms(d)))
+
+    def exceeds(self, lo: float, hi: float, bound: float) -> bool:
+        """True when a lower bound on about 32 rows spread over the count
+        shows the mean distance above bound at every shift in [lo, hi].
+
+        On interval j, since h00 + h01 = 1, row i of the difference is
+        o0 + h01 (o1 - o0) + h10 s0 + h11 s1 with o1 - o0 = y[j+1+i] -
+        y[j+i], and for theta in [0, 1] |h01| <= 1 and |h10|, |h11| <=
+        4/27.  So at every shift of the interval
+        |D_i| >= |o0_i| - |o1_i - o0_i| - 4/27 (|s0_i| + |s1_i|), and that
+        bound summed over any rows, over count, is at most the mean
+        distance.  It has to clear twice bound, a margin no rounding
+        comes near.  A bracket that reaches the extrapolated last
+        interval is not screened.
+        """
+        c, y, s = self.count, self.y, self.slope
+        last = math.floor(hi)
+        if last >= y.shape[0] - 1 - c:
+            return False
+        rows = slice(0, c, max(1, c // self._SCREEN_ROWS))
+        base = y[:c][rows]
+        for j in range(math.floor(lo), last + 1):
+            here, there = y[j:j + c][rows], y[j + 1:j + 1 + c][rows]
+            low = _row_norms(here - base) - _row_norms(there - here) - (4.0 / 27.0) * (
+                _row_norms(s[j:j + c][rows]) + _row_norms(s[j + 1:j + 1 + c][rows])
+            )
+            if float(np.sum(np.maximum(low, 0.0))) <= 2.0 * bound * c:
+                return False
+        return True
 
     def argmin(self, lo: float, hi: float) -> float:
         """Shift in [lo, hi] that minimises the mean squared distance.
@@ -240,11 +288,13 @@ class _ShiftDistance:
         P3 theta^3 with P = _HERMITE @ A, where A holds the four arrays
         of __call__, so its summed square is the sum of
         (H G H^T)[p, q] theta^(p+q) with G the Gram matrix of A: ten dot
-        products on contiguous views.  Each interval the bracket touches,
-        clamped as in __call__ so that the last one extrapolates,
-        contributes its ends and the real parts of the roots of that
-        degree-6 polynomial's derivative, clipped to the interval; the
-        least value over all of them wins.
+        products on contiguous views.  The left offset and slope of
+        interval j + 1 are the right ones of interval j, so it takes
+        their three products from j and forms seven.  Each interval the
+        bracket touches, clamped as in __call__ so that the last one
+        extrapolates, contributes its ends and the real parts of the
+        roots of that degree-6 polynomial's derivative, clipped to the
+        interval; the least value over all of them wins.
         """
         c = self.count
         y, base, h = self.y, self.y[:c], self._HERMITE
@@ -253,6 +303,7 @@ class _ShiftDistance:
         j = min(math.floor(lo), jmax)
         o0, o1 = self._sum, self._term
         np.subtract(y[j:j + c], base, out=o1)
+        prev = None
         while True:
             o0, o1 = o1, o0  # the right offset of interval j - 1 is the left one of j
             np.subtract(y[j + 1:j + 1 + c], base, out=o1)
@@ -260,7 +311,12 @@ class _ShiftDistance:
             g = np.empty((4, 4))
             for p in range(4):
                 for q in range(p, 4):
-                    g[p, q] = g[q, p] = flat[p] @ flat[q]
+                    if prev is not None and p in (0, 2) and q in (0, 2):
+                        g[p, q] = prev[p + 1, q + 1]  # j's left arrays are j - 1's right ones
+                    else:
+                        g[p, q] = flat[p] @ flat[q]
+                    g[q, p] = g[p, q]
+            prev = g
             poly = np.bincount(self._POWER, (h @ g @ h.T).ravel())[::-1]
             a = max(lo - j, 0.0)
             b = hi - j if j == jmax else min(hi - j, 1.0)
@@ -274,21 +330,26 @@ class _ShiftDistance:
             j += 1
 
 
-def _lag_profile(y: np.ndarray, kmax: int) -> np.ndarray:
+def _lag_profile(y: np.ndarray, kmax: int, norms: np.ndarray | None = None) -> np.ndarray:
     """Mean squared distance of y[i + k] - y[i] over i, for lags k = 0..kmax.
 
-    Expands |y[i + k] - y[i]|^2: prefix sums of |y|^2 give the two norm
-    terms, and an FFT autocorrelation gives the cross term.  The FFT is
-    zero-padded to at least m + kmax points, so no lag wraps around, and
-    taken one column at a time, so memory stays at one padded column.
+    Expands |y[i + k] - y[i]|^2: prefix sums of the row norms |y_i|^2
+    (norms, when the caller has them) give the two norm terms, and an
+    FFT autocorrelation gives the cross term.  The FFT is zero-padded to
+    at least m + kmax points, so no lag wraps around.  The power
+    spectra |F_c|^2 of the columns are summed, one padded column at a
+    time, and the inverse transform, being linear, is taken once.
     """
     m = y.shape[0]
     size = 1 << (m + kmax - 1).bit_length()
-    cross = np.zeros(kmax + 1)
+    power = np.zeros(size // 2 + 1)
     for column in y.T:
         f = np.fft.rfft(column, size)
-        cross += np.fft.irfft(f.real * f.real + f.imag * f.imag, size)[: kmax + 1]
-    sq = np.concatenate([[0.0], np.cumsum(np.sum(y * y, axis=1))])
+        power += f.real * f.real + f.imag * f.imag
+    cross = np.fft.irfft(power, size)[: kmax + 1]
+    if norms is None:
+        norms = np.sum(y * y, axis=1)
+    sq = np.concatenate([[0.0], np.cumsum(norms)])
     k = np.arange(kmax + 1)
     total = (sq[m] - sq[k]) + sq[m - k]
     return np.maximum(total - 2.0 * cross, 0.0) / (m - k)
@@ -304,8 +365,10 @@ def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
     are the local minima of the lag profile, the mean squared state
     distance at each lag up to half the span, built from one FFT
     autocorrelation; the profile is not computed when the spectrum
-    seeds a candidate.  Each candidate is refined
-    continuously, on a bracket of one sample either side, to the shift
+    seeds a candidate.  A candidate whose bracket, one sample either
+    side, a lower bound on a few rows shows to stay above the tolerance
+    is dropped.  Each other candidate is refined
+    continuously, on that bracket, to the shift
     that minimises the mean squared distance to the Hermite-interpolated
     shifted trajectory: in closed form, from the ends and the roots of
     the derivative of one degree-6 polynomial per sample interval.  The
@@ -336,9 +399,12 @@ def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
     if peak == 0.0:
         return None
     np.ldexp(y, -math.frexp(peak)[1], out=y)  # max |y| in [0.5, 1): no square overflows
-    scale = float(np.max(np.sqrt(np.sum(y * y, axis=1))))
-    drift = np.sqrt(np.sum((y - y[0]) ** 2, axis=1)) / scale
-    if float(np.max(drift)) <= PERIOD_RTOL:
+    norms = np.sum(y * y, axis=1)
+    # sqrt and division by a positive number are monotone: each maximum
+    # is the one of the per-row values, bit for bit
+    scale = math.sqrt(float(np.max(norms)))
+    drift = math.sqrt(float(np.max(np.sum((y - y[0]) ** 2, axis=1)))) / scale
+    if drift <= PERIOD_RTOL:
         return None  # standstill, no meaningful period
 
     kmax = (m - 1) // 2
@@ -354,7 +420,7 @@ def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
                 )
             candidates.append(t_seed / dt)
     if not candidates:
-        lag = _lag_profile(y, kmax)
+        lag = _lag_profile(y, kmax, norms)
         inner = lag[2:kmax]
         minima = (inner < lag[1 : kmax - 1]) & (inner <= lag[3 : kmax + 1])
         candidates = (np.flatnonzero(minima) + 2).tolist()
@@ -363,7 +429,7 @@ def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
     for cand in sorted(candidates):
         lo = max(1.0, cand - 1.0)
         hi = min(span / (2.0 * dt), cand + 1.0)
-        if hi <= lo:
+        if hi <= lo or distance.exceeds(lo, hi, PERIOD_RTOL * scale):
             continue
         shift = distance.argmin(lo, hi)
         if distance(shift) / scale <= PERIOD_RTOL:

@@ -49,15 +49,6 @@ _REPRESENTATION_RTOL = 1e-8
 _DEPENDENT_RTOL = 1e-3
 
 
-def _cexpm1(x: np.ndarray) -> np.ndarray:
-    """exp(x) - 1 for complex x without cancellation near zero."""
-    a = x.real
-    b = x.imag
-    re = np.expm1(a) * np.cos(b) - 2.0 * np.sin(b / 2.0) ** 2
-    im = np.exp(a) * np.sin(b)
-    return re + 1j * im
-
-
 def _cexp(x: np.ndarray) -> np.ndarray:
     """exp(x) for a complex array, from the real exp, cos and sin, which
     numpy vectorizes and its complex exp does not."""
@@ -68,6 +59,29 @@ def _cexp(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi1_exp(x: np.ndarray):
+    """phi1(x) and exp(x) for a complex array x, from one exp(Re x),
+    cos(Im x) and sin(Im x); exp(x) is _cexp(x) bit for bit.
+
+    Outside the series radius phi1 is (exp(x) - 1) / x, with exp(x) - 1
+    formed without cancellation near zero; the entries inside the radius,
+    if there are any, are left out of the division and take the series.
+    """
+    a, b = x.real, x.imag
+    e, cos, sin = np.exp(a), np.cos(b), np.sin(b)
+    ex = np.empty_like(x)
+    ex.real = e * cos
+    ex.imag = e * sin
+    em1 = (np.expm1(a) * cos - 2.0 * np.sin(b / 2.0) ** 2) + 1j * ex.imag
+    small = np.abs(x) < PHI1_SERIES_RADIUS
+    if not small.any():
+        return em1 / x, ex
+    phi = np.divide(em1, x, out=np.empty_like(x), where=~small)
+    xs = x[small]
+    phi[small] = 1.0 + xs * (1.0 / 2.0 + xs * (1.0 / 6.0 + xs * (1.0 / 24.0 + xs / 120.0)))
+    return phi, ex
+
+
 def phi1(x):
     """(exp(x) - 1) / x, entire in x, with phi1(0) = 1.
 
@@ -76,12 +90,7 @@ def phi1(x):
     two branches agree to within a few ulp at the switch.
     """
     arr = np.asarray(x, dtype=np.complex128)
-    out = np.empty_like(arr)
-    small = np.abs(arr) < PHI1_SERIES_RADIUS
-    xs = arr[small]
-    out[small] = 1.0 + xs * (1.0 / 2.0 + xs * (1.0 / 6.0 + xs * (1.0 / 24.0 + xs / 120.0)))
-    xl = arr[~small]
-    out[~small] = _cexpm1(xl) / xl
+    out = _phi1_exp(np.atleast_1d(arr))[0].reshape(arr.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return complex(out[()])
     return out
@@ -226,10 +235,10 @@ def _eval_grid(sol: SpectralSolution, s: np.ndarray, t: np.ndarray, dsdt=None):
 def _grid_values(sol: SpectralSolution, s: np.ndarray, dsdt=None):
     """Exponent, z and z' as (n, m) arrays, not yet checked."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
-        at = np.multiply.outer(sol.eigenvalues, s)
-        exponent = sol.coefficients @ (s * phi1(at))
+        phi, eat = _phi1_exp(np.multiply.outer(sol.eigenvalues, s))
+        exponent = sol.coefficients @ (s * phi)
         z = sol.z0[:, None] * _cexp(exponent)
-        zdot = (sol.coefficients @ _cexp(at)) * z
+        zdot = (sol.coefficients @ eat) * z
         if dsdt is not None:
             zdot = zdot * dsdt
     return exponent, z, zdot
@@ -307,8 +316,8 @@ def _time_substitution(g: GeneralizedParams, t: np.ndarray):
     if g.lam == 0.0 and g.omega != 0.0:
         theta = _reduced_phase(g.omega * t)
         return (theta / g.omega) * phi1(1j * theta), np.cos(theta) + 1j * np.sin(theta)
-    mt = complex(g.lam, g.omega) * t
-    return t * phi1(mt), _cexp(mt)
+    phi, rate = _phi1_exp(complex(g.lam, g.omega) * t)
+    return t * phi, rate
 
 
 def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams, t: np.ndarray):
@@ -349,8 +358,9 @@ def _center_grid(cs: CenterSolution, t: np.ndarray) -> tuple[np.ndarray, np.ndar
     """eval_center over an array of times, as unchecked (n, m) arrays."""
     mt = np.multiply.outer(cs.mu, t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _pair_states
-        z = cs.z0[:, None] + cs.zdot0[:, None] * (t * phi1(mt))
-        zdot = cs.zdot0[:, None] * _cexp(mt)
+        phi, emt = _phi1_exp(mt)
+        z = cs.z0[:, None] + cs.zdot0[:, None] * (t * phi)
+        zdot = cs.zdot0[:, None] * emt
     return z, zdot
 
 

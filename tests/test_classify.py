@@ -516,3 +516,119 @@ def test_detect_period_infinite_frequency_seeds_no_candidate():
     # the spectrum is not purely imaginary, so the lag profile finds the period
     t = detect_period(_circle_trajectory(), eigenvalues=[1j, complex(0.0, math.inf)])
     assert t == pytest.approx(TWO_PI, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rational_period_rejects_non_finite_frequencies(bad):
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        rational_period([1.0, bad])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 64, 65, 1001])
+def test_lag_profile_matches_direct_sum_at_any_length(m):
+    y = np.random.default_rng(m).standard_normal((m, 8)) + 3.0
+    kmax = (m - 1) // 2
+    scale = float(np.max(np.sum(y * y, axis=1)))
+    got = _lag_profile(y, kmax)
+    assert got.shape == (kmax + 1,)
+    assert np.max(np.abs(got - _direct_lag_profile(y, kmax))) <= 1e-9 * scale
+    # row norms passed in by the caller give the same profile
+    assert got.tobytes() == _lag_profile(y, kmax, np.sum(y * y, axis=1)).tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 401])
+def test_shift_distance_slope_is_the_concatenated_reference_bit_for_bit(m):
+    traj = _periodic_closed_form(m)[0]
+    y = _flatten_states(traj)
+    dt = float(traj.times[1] - traj.times[0])
+    vel = y[:, y.shape[1] // 2:]
+    want = np.concatenate([dt * vel, _fd_acceleration(vel, 1.0)], axis=1)
+    got = _ShiftDistance(y, dt, m - (m - 1) // 2).slope
+    assert got.tobytes() == want.tobytes()
+    if m >= 5:  # the interior stencil in one expression, as written out
+        inner = (vel[:-4] - 8.0 * vel[1:-3] + 8.0 * vel[3:-1] - vel[4:]) / (12.0 * dt)
+        assert _fd_acceleration(vel, dt)[2:-2].tobytes() == inner.tobytes()
+
+
+def _argmin_with_fresh_gram(distance, lo, hi):
+    """_ShiftDistance.argmin with all ten Gram entries formed on every interval."""
+    c, y, h = distance.count, distance.y, distance._HERMITE
+    jmax = y.shape[0] - 1 - c
+    best, best_shift = math.inf, lo
+    j = min(math.floor(lo), jmax)
+    while True:
+        arrays = (y[j:j + c] - y[:c], y[j + 1:j + 1 + c] - y[:c],
+                  distance.slope[j:j + c], distance.slope[j + 1:j + 1 + c])
+        flat = [np.ascontiguousarray(a).ravel() for a in arrays]
+        g = np.array([[p @ q for q in flat] for p in flat])
+        poly = np.bincount(distance._POWER, (h @ g @ h.T).ravel())[::-1]
+        a = max(lo - j, 0.0)
+        b = hi - j if j == jmax else min(hi - j, 1.0)
+        theta = np.concatenate([[a, b], np.clip(np.roots(np.polyder(poly)).real, a, b)])
+        f = np.polyval(poly, theta)
+        i = int(np.argmin(f))
+        if f[i] < best:
+            best, best_shift = float(f[i]), j + float(theta[i])
+        if j == jmax or hi <= j + 1:
+            return best_shift
+        j += 1
+
+
+def test_shift_distance_argmin_reuses_gram_entries_bit_for_bit():
+    m = 401
+    traj = _periodic_closed_form(m)[0]
+    dt = float(traj.times[1] - traj.times[0])
+    count = m - (m - 1) // 2
+    distance = _ShiftDistance(_flatten_states(traj), dt, count)
+    # brackets over one to five intervals, including the extrapolated last one
+    for lo, hi in ((3.2, 3.9), (10.0, 12.0), (57.3, 61.8), (158.5, 160.5), (197.0, 200.0)):
+        assert distance.argmin(lo, hi) == _argmin_with_fresh_gram(distance, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_shift_distance_exceeds_only_where_every_shift_is_above_the_bound(seed):
+    m = 2001
+    traj = _periodic_closed_form(m, seed=seed)[0]
+    dt = float(traj.times[1] - traj.times[0])
+    count = m - (m - 1) // 2
+    y = _flatten_states(traj)
+    distance = _ShiftDistance(y, dt, count)
+    scale = math.sqrt(float(np.max(np.sum(y * y, axis=1))))
+    rng = np.random.default_rng(seed)
+    screened = 0
+    for lo in np.concatenate([rng.uniform(1.0, count - 4.0, 60), [1.0, 1.5]]):
+        hi = lo + rng.uniform(0.1, 2.5)
+        for bound in (1e-6 * scale, 1e-3 * scale, 0.3 * scale):
+            if not distance.exceeds(lo, hi, bound):
+                continue
+            screened += 1
+            shifts = np.concatenate([np.linspace(lo, hi, 41), [distance.argmin(lo, hi)]])
+            assert min(distance(x) for x in shifts) > bound, (lo, hi, bound)
+    assert screened > 0
+
+
+def test_shift_distance_exceeds_never_screens_the_period_or_the_last_interval():
+    m = 2001
+    traj, _, period = _periodic_closed_form(m)
+    dt = float(traj.times[1] - traj.times[0])
+    count = m - (m - 1) // 2
+    distance = _ShiftDistance(_flatten_states(traj), dt, count)
+    p = period / dt
+    assert not distance.exceeds(p - 1.0, p + 1.0, 1e-6)
+    assert distance.exceeds(0.4 * p - 1.0, 0.4 * p + 1.0, 1e-6)
+    # the bracket reaches interval m - 1 - count, whose shifts extrapolate
+    assert not distance.exceeds(m - 2.5 - count, m - 0.5 - count, 1e-6)
+
+
+def test_shift_distance_exceeds_counts_the_slopes():
+    # row 0 has o0 = y[1] - y[0] and no step; with slope[1] = -27/4 o0 its
+    # difference o0 + h10(theta) slope[1] vanishes at theta = 1/3, where h10 = 4/27
+    m = 11
+    y = np.ones((m, 2))
+    y[0] = 0.0
+    distance = _ShiftDistance(y, 1.0, m - (m - 1) // 2)
+    distance.slope[:] = 0.0
+    distance.slope[1] = -6.75 * (y[1] - y[0])
+    assert distance(1.0 + 1.0 / 3.0) <= 1e-15
+    assert not distance.exceeds(1.1, 1.9, 1e-6)
+    assert distance.exceeds(2.1, 2.9, 1e-6)  # there row 0 is o0 at every shift

@@ -34,7 +34,16 @@ from planebody import (
     trajectory_from_states,
     zero_couplings,
 )
-from planebody.exact import CenterSolution, _reduced_phase
+from planebody.exact import (
+    CenterSolution,
+    _center_grid,
+    _cexp,
+    _first_failure,
+    _phi1_exp,
+    _raise_failure,
+    _reduced_phase,
+    _time_substitution,
+)
 from planebody.model import ComplexState, alpha_matrix
 
 from _util import count_frozen_arrays, random_couplings, random_state
@@ -714,3 +723,85 @@ def test_position_underflow_is_an_origin_error_at_its_time():
     with pytest.raises(OriginError, match=r"^particle 1 position underflows to the origin at t = 1\.0$") as info:
         exact_states(sol, np.linspace(0.0, 1.0, 11))
     assert info.value.time == 1.0
+
+
+def _reference_phi1(x):
+    """phi1 as the series inside |x| < 1e-4 and (exp(x) - 1) / x outside,
+    each branch on its own gathered entries, with exp(x) - 1 formed from
+    expm1(Re x), cos(Im x), sin(Im x / 2), exp(Re x) and sin(Im x)."""
+    arr = np.asarray(x, dtype=np.complex128)
+    out = np.empty_like(arr)
+    small = np.abs(arr) < 1e-4
+    xs = arr[small]
+    out[small] = 1.0 + xs * (1.0 / 2.0 + xs * (1.0 / 6.0 + xs * (1.0 / 24.0 + xs / 120.0)))
+    xl = arr[~small]
+    a, b = xl.real, xl.imag
+    re = np.expm1(a) * np.cos(b) - 2.0 * np.sin(b / 2.0) ** 2
+    out[~small] = (re + 1j * (np.exp(a) * np.sin(b))) / xl
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("with_series", [True, False])
+def test_phi1_exp_matches_phi1_and_cexp_bit_for_bit(seed, with_series):
+    rng = np.random.default_rng(seed)
+    w = 3.0 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    s = rng.uniform(-300.0, 300.0, 400)
+    if with_series:
+        s[0] = 0.0  # a whole column inside the series radius
+    x = np.multiply.outer(w, s)
+    x[1, 1:6] = [705.0, -720.0 + 3.0j, 1e3 + 1e3j, -1e4j, 709.9 - 0.5j]  # exponents past +-700
+    if with_series:
+        x[2, 1:5] = [1e-5, -3e-5j, 9.99e-5 + 1e-7j, 1e-300]
+    assert bool(np.any(np.abs(x) < 1e-4)) == with_series
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, ex = _phi1_exp(x)
+        assert _same_bits(phi, phi1(x))
+        assert _same_bits(phi, _reference_phi1(x))
+        assert _same_bits(ex, _cexp(x))
+
+
+@pytest.mark.parametrize(
+    "beta, t_end, m",
+    [(1.0, 800.0, 2), (1.0, 12.0, 401), (2.0, 50.0, 101), (-1.5, 30.0, 401), (1.0, 20.0, 3)],
+)
+def test_exact_states_failure_matches_the_phi1_reference(beta, t_end, m):
+    c = CouplingSpec([[beta, 0.0], [0.0, 0.5]], [[0.3, 0.0], [0.0, 1.0]])
+    sol = spectral_solve(c, ComplexState(np.array([1.0 + 0j, 0.5j]), np.array([1.0 + 0.2j, 0.3 + 0j])))
+    t = np.linspace(0.0, t_end, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = np.multiply.outer(sol.eigenvalues, t)
+        exponent = sol.coefficients @ (t * _reference_phi1(at))
+        z = sol.z0[:, None] * _cexp(exponent)
+        zdot = (sol.coefficients @ _cexp(at)) * z
+    k = _first_failure(exponent, z, zdot)
+    assert k < m
+    with pytest.raises((BlowupError, OriginError)) as want:
+        _raise_failure(k, exponent, z, zdot, t)
+    with pytest.raises(type(want.value)) as got:
+        exact_states(sol, t)
+    assert str(got.value) == str(want.value)
+    assert got.value.time == want.value.time
+
+
+@pytest.mark.parametrize("lam, omega", [(0.3, 1.0), (-0.2, 0.0), (1e-6, 2.0), (2.0, -1.5), (25.0, 1.0)])
+def test_tau_map_and_center_grid_match_the_phi1_reference(lam, omega):
+    t = np.linspace(0.0, 40.0, 2001)  # t = 0 lies in the series radius; lam = 25 overflows
+    mu = complex(lam, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau, rate = _time_substitution(GeneralizedParams(lam=lam, omega=omega), t)
+        assert _same_bits(tau, t * _reference_phi1(mu * t))
+        assert _same_bits(rate, _cexp(mu * t))
+        assert _same_bits(tau_map(GeneralizedParams(lam=lam, omega=omega), t), tau)
+        rates = np.array([mu, 0.5 - 0.25j, 0.0])
+        cs = CenterSolution(
+            z0=np.array([1.0 + 0.5j, -0.3j, 2.0]), zdot0=np.array([0.2 - 1.0j, 1.5, 0.7j]), mu=rates
+        )
+        z, zdot = _center_grid(cs, t)
+        mt = np.multiply.outer(rates, t)
+        assert _same_bits(z, cs.z0[:, None] + cs.zdot0[:, None] * (t * _reference_phi1(mt)))
+        assert _same_bits(zdot, cs.zdot0[:, None] * _cexp(mt))
