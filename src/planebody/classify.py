@@ -270,12 +270,12 @@ class _ShiftDistance:
         last = math.floor(hi)
         if last >= y.shape[0] - 1 - c:
             return False
-        rows = slice(0, c, max(1, c // self._SCREEN_ROWS))
-        base = y[:c][rows]
+        step = max(1, c // self._SCREEN_ROWS)
+        base = y[:c:step]
         for j in range(math.floor(lo), last + 1):
-            here, there = y[j:j + c][rows], y[j + 1:j + 1 + c][rows]
+            here, there = y[j:j + c:step], y[j + 1:j + 1 + c:step]
             low = _row_norms(here - base) - _row_norms(there - here) - (4.0 / 27.0) * (
-                _row_norms(s[j:j + c][rows]) + _row_norms(s[j + 1:j + 1 + c][rows])
+                _row_norms(s[j:j + c:step]) + _row_norms(s[j + 1:j + 1 + c:step])
             )
             if float(np.sum(np.maximum(low, 0.0))) <= 2.0 * bound * c:
                 return False
