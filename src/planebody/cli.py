@@ -211,8 +211,8 @@ def _run_compare(sc: Scenario, args) -> Trajectory:
 def _spectrum_for(sc: Scenario) -> np.ndarray:
     w = linalg.eigenvalues(alpha_matrix(sc.couplings))
     if sc.variant == "pair":
-        mu = sc.pair.lam + 1j * sc.pair.omega
-        w = np.sort_complex(np.concatenate([w, mu]))
+        w = np.concatenate([w, sc.pair.lam + 1j * sc.pair.omega])
+        w = w[linalg._sort_order(w)]
     return w
 
 
@@ -248,12 +248,16 @@ def _detect_on_trajectory(sc: Scenario, w: np.ndarray, traj: Trajectory | None):
     by its spectrum w; never fatal, and never integrates.
 
     traj is that trajectory made earlier; without one, it is evaluated
-    here.  A closed form that fails reports its error code.
+    here.  A closed form that fails reports its error code, a grid that
+    detect_period cannot read its reason.
     """
     try:
         if traj is None:
             traj = _exact_trajectory(sc)
-        return detect_period(traj, eigenvalues=w)
+        try:
+            return detect_period(traj, eigenvalues=w)
+        except ValueError as exc:  # sample times that round to uneven steps
+            return f"unavailable ({exc})"
     except InsufficientSpanError:
         return "unavailable (time span shorter than twice the candidate period)"
     except PlanebodyError as exc:

@@ -70,7 +70,8 @@ class BlowupError(PlanebodyError):
 
 
 class StepUnderflowError(PlanebodyError):
-    """Adaptive step size fell below the configured minimum."""
+    """Adaptive step size fell below the configured minimum, or below
+    half the spacing of floats at t, where a step no longer changes t."""
 
     code = "StepUnderflow"
 

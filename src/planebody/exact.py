@@ -17,6 +17,7 @@ pair sums and for pure similarity motions round out the module.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,10 +33,11 @@ from .model import (
     PairSpec,
     PairState,
     PlaneState,
+    _complex_view,
     _frozen_array,
+    _plane_view,
     alpha_matrix,
     check_origin_guard,
-    perp,
 )
 
 PHI1_SERIES_RADIUS = 1e-4
@@ -383,11 +385,9 @@ def pair_solve(p: PairSpec, initial: PairState) -> PairSolution:
         sums, sumv = plus.positions + minus.positions, plus.velocities + minus.velocities
     if not all(np.isfinite(a).all() for a in (*diffs, sums, sumv)):
         raise BlowupError("a plus/minus difference or sum overflows at t = 0.0", time=0.0)
-    rel = spectral_solve(p.base, ComplexState(*(d[:, 0] + 1j * d[:, 1] for d in diffs)))
+    rel = spectral_solve(p.base, ComplexState(*(_complex_view(d) for d in diffs)))
     center = CenterSolution(
-        z0=sums[:, 0] + 1j * sums[:, 1],
-        zdot0=sumv[:, 0] + 1j * sumv[:, 1],
-        mu=p.lam + 1j * p.omega,
+        z0=_complex_view(sums), zdot0=_complex_view(sumv), mu=p.lam + 1j * p.omega
     )
     return PairSolution(relative=rel, center=center)
 
@@ -452,15 +452,9 @@ class SimilaritySpec:
 
 
 def similarity_trajectory(spec: SimilaritySpec, t: float) -> PlaneState:
-    """State of the similarity motion exp(lam t) (cos(w t) + sin(w t) perp) r(0)."""
-    lam = spec.eta.real
-    w = spec.eta.imag
-    el = math.exp(lam * t)
-    cw = math.cos(w * t)
-    sw = math.sin(w * t)
-    pos = el * (cw * spec.r0 + sw * perp(spec.r0))
-    vel = el * ((lam * cw - w * sw) * spec.r0 + (lam * sw + w * cw) * perp(spec.r0))
-    return PlaneState(pos, vel)
+    """State of the similarity motion z(t) = e^{eta t} z(0), z'(t) = eta z(t)."""
+    z = cmath.exp(spec.eta * t) * _complex_view(spec.r0)
+    return PlaneState(_plane_view(z), _plane_view(spec.eta * z))
 
 
 def row_sums_zero(c: CouplingSpec) -> bool:
@@ -501,8 +495,7 @@ def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False):
     """The checked (p, m) complex grids z and z' as frozen, C-ordered
     (m, p, 2) state arrays, followed by the pair flag: the arguments of
     a Trajectory after its times."""
-    p, m = z.shape
-    pos, vel = (np.ascontiguousarray(a.T).view(np.float64).reshape(m, p, 2) for a in (z, zdot))
+    pos, vel = (_plane_view(np.ascontiguousarray(a.T)) for a in (z, zdot))
     pos.setflags(write=False)
     vel.setflags(write=False)
     return pos, vel, pair

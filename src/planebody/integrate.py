@@ -10,15 +10,16 @@ step may hold any number of samples.  By default the step size is
 capped at the output spacing; a scenario's h_max lifts the cap.
 
 Guards: a relative origin guard (collision), a 1e150 magnitude bound
-(double-exponential blow-up) and a minimum step size (underflow).  The
-origin guard (`model.check_origin_guard`) runs once per force
-evaluation, inside the stage: the built-in force laws run it in their
-kernel, and a user's rhs is called only after it has run on the
-positions, or on the plus/minus differences of a pair state.  A tripped
-stage halves the step like a non-finite one, except at the initial
-state, where a guard trip is an OriginCollision and a non-finite
-derivative an Overflow.  An accepted step needs no check of its own:
-its solution is the input of its last stage.
+(double-exponential blow-up) and a minimum step size (underflow), which
+a step too small to change t fails as well.  The origin guard
+(`model.check_origin_guard`) runs once per force evaluation, inside the
+stage: the built-in force laws run it in their kernel, and a user's
+rhs is called only after it has run on the positions, or on the
+plus/minus differences of a pair state.  A tripped stage halves the
+step like a non-finite one, except at the initial state, where a guard
+trip is an OriginCollision and a non-finite derivative an Overflow.  An
+accepted step needs no check of its own: its solution is the input of
+its last stage.
 
 The state is packed into one float64 stage row: every position, then
 every velocity, as (x, y) pairs.  A pair state is packed as the plane
@@ -371,9 +372,12 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         _first_derivative(deriv, t0)
         np.abs(y, out=abs_y)
         while (t1 - t) * direction > 0.0:
-            if abs(h) < cfg.h_min:
+            if abs(h) < cfg.h_min or t + h == t:
                 raise StepUnderflowError(
                     f"step size {abs(h):.3e} fell below h_min {cfg.h_min:.3e} at t = {t:.6g}"
+                    if abs(h) < cfg.h_min
+                    else f"step size {abs(h):.3e} no longer changes t = {t:.17g}",
+                    time=t,
                 )
             last = abs(t1 - t) <= abs(h)
             if last:
@@ -390,7 +394,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
             except _GuardTrip as trip:
                 nreject += 1
                 h *= 0.5
-                if abs(h) < cfg.h_min:
+                if abs(h) < cfg.h_min or t + h == t:
                     raise OriginCollisionError(
                         f"trajectory entered the singularity guard near t = {trip.t:.6g} "
                         f"({trip.cause})",

@@ -83,10 +83,12 @@ def _scaled_back(w: np.ndarray, e: int) -> np.ndarray:
 
 
 def _sort_order(w: np.ndarray) -> np.ndarray:
-    """Indices sorting w by (real, imag); real parts within rounding count as equal."""
+    """Indices sorting w by (real, imag); real parts within rounding of the
+    largest finite |w| count as equal, and so do infinite ones of one sign."""
     by_real = np.argsort(w.real, kind="stable")
-    tol = _SORT_RTOL * float(np.max(np.abs(w)))
-    group = np.concatenate([[0], np.cumsum(np.diff(w.real[by_real]) > tol)])
+    tol = _SORT_RTOL * float(np.abs(w[np.isfinite(w)]).max(initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: not a new group
+        group = np.concatenate([[0], np.cumsum(np.diff(w.real[by_real]) > tol)])
     return by_real[np.lexsort((w.imag[by_real], group))]
 
 

@@ -100,8 +100,10 @@ class PlaneState:
     A state is checked where it enters the package and wrapped, not
     checked again, everywhere after that.  The constructor copies,
     shape-checks, finiteness-checks and freezes both arrays, so user data
-    and parsed scenarios always go through it.  `_checked` stores float64
-    arrays of shape (n, 2) with no copy and no check.  Its callers are
+    always goes through it.  `_checked` stores float64 arrays of shape
+    (n, 2) with no copy and no check.  Its callers are
+      - the scenario parser (`scenario_from_dict`, through `_state_view`),
+        over the columns of the initial rows it has just checked;
       - `_state_view` (through `_families` for a pair), one sample at a
         time as samples are read, over the frozen arrays of an
         `integrate.Trajectory`: the closed-form grids, every value of
@@ -111,9 +113,10 @@ class PlaneState:
         once per run, over the rows of its stage inputs: the views stay
         bound for the run, and each stage checks its row for finiteness
         before the rhs reads it.
-    A pair sample goes through the PairState constructor, which keeps its
-    exact-coincidence check; a pair stage row is wrapped once per run by
-    `PairState._checked`, and its stages run the origin guard instead.
+    A pair sample or parsed pair state goes through the PairState
+    constructor, which keeps its exact-coincidence check; a pair stage
+    row is wrapped once per run by `PairState._checked`, and its stages
+    run the origin guard instead.
     """
 
     positions: np.ndarray
@@ -309,19 +312,15 @@ def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> Non
 
 
 def to_complex(s: PlaneState) -> ComplexState:
-    """Map (n, 2) vectors to complex coordinates; rejects guarded states."""
+    """Map (n, 2) vectors to complex coordinates, bit for bit (the sign of
+    zero included); rejects guarded states."""
     check_origin_guard(s.positions)
-    return ComplexState(
-        s.positions[:, 0] + 1j * s.positions[:, 1],
-        s.velocities[:, 0] + 1j * s.velocities[:, 1],
-    )
+    return ComplexState(_complex_view(s.positions), _complex_view(s.velocities))
 
 
 def from_complex(c: ComplexState) -> PlaneState:
-    return PlaneState(
-        np.stack([c.z.real, c.z.imag], axis=1),
-        np.stack([c.zdot.real, c.zdot.imag], axis=1),
-    )
+    """The (n, 2) vectors of complex coordinates: to_complex's inverse, bit for bit."""
+    return PlaneState(_plane_view(c.z), _plane_view(c.zdot))
 
 
 def _complex_view(a: np.ndarray) -> np.ndarray:
@@ -331,8 +330,8 @@ def _complex_view(a: np.ndarray) -> np.ndarray:
 
 
 def _plane_view(z: np.ndarray) -> np.ndarray:
-    """The (n, 2) float64 view of a contiguous complex128 n-vector."""
-    return z.view(np.float64).reshape(-1, 2)
+    """The (..., 2) float64 view of a C-contiguous complex128 array."""
+    return z.view(np.float64).reshape(*z.shape, 2)
 
 
 def _kernel(alpha, z, zdot, error=OriginError, mu=0.0, out=None) -> np.ndarray:

@@ -34,6 +34,7 @@ from .model import (
     PairState,
     PlaneState,
     _frozen_array,
+    _state_view,
 )
 
 VARIANTS = ("base", "generalized", "pair")
@@ -146,13 +147,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     # [x, y, vx, vy] rows: n particles, or 2n for a pair (plus family first)
     rows = _array(_require(data, "initial"), "initial", (2 * n if variant == "pair" else n, 4))
-    if variant == "pair":
-        initial: PlaneState | PairState = PairState(
-            plus=PlaneState(rows[:n, 0:2], rows[:n, 2:4]),
-            minus=PlaneState(rows[n:, 0:2], rows[n:, 2:4]),
-        )
-    else:
-        initial = PlaneState(rows[:, 0:2], rows[:, 2:4])
+    initial = _state_view(rows[:, 0:2], rows[:, 2:4], pair=variant == "pair")
 
     integrator = _integrator(data.get("integrator"))
 

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planebody import PlanebodyError, ValidationError
+from planebody import PlanebodyError, ValidationError, linalg
 from planebody.cli import _numeric_trajectory, main, read_trajectory_csv, write_trajectory_csv
 from planebody.integrate import IntegratorConfig, Trajectory, integrate
 from planebody.model import PlaneState, rhs_base, rhs_generalized, rhs_pair, zero_couplings
 from planebody.scenario import builtin_scenarios, scenario_from_dict
+
+from _util import count_frozen_arrays
 
 TWO_PI = 2.0 * math.pi
 
@@ -872,3 +874,87 @@ def test_classify_with_an_infinite_frequency_exits_0(tmp_path, capsys):
     assert captured.err == ""
     assert "all_imaginary: false" in captured.out.splitlines()
     assert "eigenvalue_2: 0+infi" in captured.out.splitlines()
+
+
+def _stuck_scenario():
+    # floats near 1e15 are 0.125 apart: the 7 sample times round to
+    # uneven steps, and no step of the integrator can move t
+    data = _basic_scenario("stuck")
+    data.update(beta=[[0.0]], gamma=[[0.0]], initial=[[1.0, 0.0, 0.0, 1.0]])
+    data["integrator"] = {"t_span": [1e15, 1e15 + 1.0], "samples": 7}
+    return data
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["integrate", "compare"])
+def test_a_step_that_cannot_move_t_exits_1_with_one_underflow_line(tmp_path, capsys, command):
+    path = _write_scenario(tmp_path, _stuck_scenario())
+    argv = [command, "--scenario", path, "--out-dir", str(tmp_path)]
+    assert _one_error_line(capsys, argv, "StepUnderflow") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a stderr line
+def test_classify_on_an_uneven_sample_grid_reports_detection_unavailable(tmp_path, capsys):
+    path = _write_scenario(tmp_path, _stuck_scenario())
+    assert main(["solve", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = (tmp_path / "stuck_classify.txt").read_text().splitlines()
+    assert "detected_period: unavailable (detect_period requires a uniform time grid)" in lines
+
+
+def test_pair_spectrum_is_ordered_as_linalg_orders_eigenvalues(tmp_path, capsys):
+    # real parts 0.1 and 0.0999999999999999 agree to rounding, so the
+    # imaginary parts decide: 0.1+1i comes first
+    data = _basic_scenario("order")
+    data.update(variant="pair", beta=[[0.0999999999999999]], gamma=[[2.0]])
+    data["pair_params"] = {"Lambda": [0.1], "Omega": [1.0]}
+    data["initial"] = [[1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.5]]
+    path = _write_scenario(tmp_path, data)
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "order_classify.txt").read_text().splitlines()
+    reported = [
+        complex(line.split(": ")[1].replace("i", "j")) for line in lines if line.startswith("eigenvalue_")
+    ]
+    assert reported == list(linalg.eigenvalues(np.diag(reported)))
+    assert reported[0] == 0.1 + 1j
+
+
+@pytest.mark.parametrize("name, calls", [("damped", 2), ("pair", 4)])
+def test_parsed_initial_rows_are_checked_once(monkeypatch, name, calls):
+    # beta and gamma (and a pair's rates) are checked by the parser and
+    # again by their containers; the initial rows by the parser alone
+    counted = count_frozen_arrays(monkeypatch)
+    scenario_from_dict(builtin_scenarios()[name])
+    assert len(counted) == calls
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_pair_scenario_with_coincident_families_exits_1_with_one_collision_line(tmp_path, capsys):
+    data = _basic_scenario("coincident")
+    data.update(variant="pair", beta=[[0.0]], gamma=[[0.0]])
+    data["pair_params"] = {"Lambda": [0.0], "Omega": [0.0]}
+    data["initial"] = [[1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 0.5, 0.0]]
+    path = _write_scenario(tmp_path, data)
+    argv = ["solve", "--scenario", path, "--out-dir", str(tmp_path)]
+    assert _one_error_line(capsys, argv, "PairCollision") == 1
+    assert not (tmp_path / "coincident_exact.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a stderr line
+def test_pair_spectrum_with_two_infinite_eigenvalues_is_ordered_without_warning(tmp_path, capsys):
+    # each block [[b, b], [b, b]] has eigenvalues 0 (to rounding) and 2b = inf
+    b = 1.7e308
+    data = _basic_scenario("inf2")
+    data.update(variant="pair", beta=[[b, b, 0, 0], [b, b, 0, 0], [0, 0, b, b], [0, 0, b, b]])
+    data["gamma"] = [[0.0] * 4 for _ in range(4)]
+    data["pair_params"] = {"Lambda": [0.1] * 4, "Omega": [1.0] * 4}
+    data["initial"] = [[sign * (1.0 + j), 0.0, 0.0, 1.0] for sign in (1, -1) for j in range(4)]
+    path = _write_scenario(tmp_path, data)
+    assert main(["classify", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    values = [line.split(": ")[1] for line in captured.out.splitlines() if line.startswith("eigenvalue_")]
+    assert values[:4] == ["0.10000000000000001+1i"] * 4
+    assert values[6:] == ["inf+0i"] * 2

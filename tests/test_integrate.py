@@ -12,6 +12,7 @@ from planebody import (
     GridMismatchError,
     IntegratorConfig,
     OriginCollisionError,
+    OriginError,
     PairSpec,
     PairState,
     PlaneState,
@@ -646,3 +647,47 @@ def test_compare_of_unequal_shapes():
     two = [PlaneState([[2.0, 0.0], [0.0, 2.0]], np.zeros((2, 2))) for _ in times]
     with pytest.raises(GridMismatchError, match="trajectory shapes differ"):
         compare(trajectory_from_states(times, one), trajectory_from_states(times, two))
+
+
+class _Runaway(Exception):
+    """Raised by a counting rhs once a run has taken far too many stages."""
+
+
+def _counting_rhs(rhs):
+    calls = []
+
+    def counted(t, s):
+        calls.append(t)
+        if len(calls) > 10_000:
+            raise _Runaway("10,000 force evaluations")
+        return rhs(t, s)
+
+    return counted
+
+
+def test_a_step_that_cannot_move_t_is_a_step_underflow():
+    # floats near 1e15 are 0.125 apart, so the first step (1e-3), and any
+    # the controller takes on this circle, leaves t + h == t
+    c = zero_couplings(1)
+    s0 = PlaneState([[1.0, 0.0]], [[0.0, 1.0]])
+    cfg = IntegratorConfig(t_span=(1e15, 1e15 + 1.0), sample_count=7)
+    with pytest.raises(StepUnderflowError, match="no longer changes t") as info:
+        integrate(_counting_rhs(lambda t, s: rhs_base(c, s)), s0, cfg)
+    assert info.value.time == 1e15
+
+
+def test_a_guard_trip_whose_halved_step_cannot_move_t_is_a_collision():
+    # the step 0.1 moves only its last stages off t = 1e15, which trip the
+    # guard; half of it no longer changes t
+    c = zero_couplings(1)
+
+    def rhs(t, s):
+        if t > 1e15:
+            raise OriginError("stage past the start")
+        return rhs_base(c, s)
+
+    s0 = PlaneState([[1.0, 0.0]], [[0.0, 1.0]])
+    cfg = IntegratorConfig(h_init=0.1, t_span=(1e15, 1e15 + 1.0), sample_count=7)
+    with pytest.raises(OriginCollisionError, match="stage past the start") as info:
+        integrate(_counting_rhs(rhs), s0, cfg)
+    assert info.value.time == 1e15 + 0.125

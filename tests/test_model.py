@@ -416,3 +416,10 @@ def test_rhs_complex_trips_its_relative_origin_guard():
     s = ComplexState([1e-14 + 0.0j, 1.0 + 0.0j], [0.0j, 1.0j])
     with pytest.raises(OriginError, match="inside the origin guard"):
         rhs_complex(zero_couplings(2), s)
+
+
+def test_complex_round_trip_keeps_the_sign_of_zero():
+    s = PlaneState([[-0.0, 1.0], [2.0, -0.0]], [[-0.0, -0.0], [0.5, -0.0]])
+    back = from_complex(to_complex(s))
+    for got, want in ((back.positions, s.positions), (back.velocities, s.velocities)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
