@@ -30,9 +30,15 @@ import numpy as np
 
 from . import exact, linalg
 from .classify import classify, detect_period
-from .errors import InsufficientSpanError, PlanebodyError, ScenarioError, ValidationError
+from .errors import (
+    BlowupError,
+    InsufficientSpanError,
+    PlanebodyError,
+    ScenarioError,
+    ValidationError,
+)
 from .integrate import Trajectory, compare, integrate
-from .model import _PairForce, _PlaneForce, alpha_matrix, to_complex
+from .model import CouplingSpec, _PairForce, _PlaneForce, alpha_matrix, to_complex
 # Not called here any more: perfbench/tracing.py wraps these names on this
 # module, so they stay importable from it until the tracer follows the
 # stage forces above.
@@ -109,11 +115,26 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
 
 
 def _exact_trajectory(sc: Scenario) -> Trajectory:
+    """The closed form on the sample grid t.  Like the integrator, it
+    holds sc.initial at t0 = t_span[0]: it is evaluated at the times
+    s = t - t0 since then, and a failure reports its sample time t."""
     times = sc.integrator.sample_times()
-    if sc.variant == "pair":
-        return exact._pair_states(exact.pair_solve(sc.pair, sc.initial), times)
-    sol = exact.spectral_solve(sc.couplings, to_complex(sc.initial))
-    return exact.exact_states(sol, times, g=sc.generalized)
+    t0 = sc.integrator.t_span[0]
+    if sc.variant == "pair":  # autonomous
+        return exact._pair_states(exact.pair_solve(sc.pair, sc.initial), times - t0, times)
+    couplings, g = sc.couplings, sc.generalized
+    if g is not None and t0 != 0.0:
+        # from t0 on, the couplings alpha e^{mu t} are (alpha e^{mu t0}) e^{mu s};
+        # e^{mu t0} is dtau/dt at t0, whose lam = 0 branch reduces the phase exactly
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            alpha = alpha_matrix(couplings) * exact._time_substitution(g, np.array([t0]))[1]
+        if not np.isfinite(alpha).all():
+            raise BlowupError(f"the couplings alpha e^(mu t) overflow at t = {t0}", time=t0)
+        couplings = CouplingSpec(alpha.real, alpha.imag)
+    sol = exact.spectral_solve(couplings, to_complex(sc.initial))
+    if t0 == 0.0:  # s is t: the public grid, which perfbench/tracing.py wraps
+        return exact.exact_states(sol, times, g=g)
+    return Trajectory(times, *exact._state_grid(*exact._generalized_grid(sol, g, times - t0, times)))
 
 
 def _numeric_trajectory(sc: Scenario) -> Trajectory:

@@ -322,10 +322,14 @@ def _time_substitution(g: GeneralizedParams, t: np.ndarray):
     return t * phi, rate
 
 
-def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams, t: np.ndarray):
-    """eval_generalized over an array of physical times t, as (n, m) arrays."""
+def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams | None, s: np.ndarray, t: np.ndarray):
+    """z and z' as (n, m) arrays at the times s since the initial data, of
+    the base model (g None, or lam = omega = 0) or the generalized one;
+    a failure reports its time in t, as in _eval_grid."""
+    if g is None or (g.lam == 0.0 and g.omega == 0.0):
+        return _eval_grid(sol, s, t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _eval_grid
-        tau, rate = _time_substitution(g, t)
+        tau, rate = _time_substitution(g, s)
     return _eval_grid(sol, tau, t, rate)
 
 
@@ -333,7 +337,8 @@ def eval_generalized(sol: SpectralSolution, g: GeneralizedParams, t: float) -> C
     """State of the generalized model: base solution at tau(t), with the
     velocity picking up the chain-rule factor dtau/dt = exp((lam+i omega) t).
     A blow-up reports the physical time t, not tau(t)."""
-    z, zdot = _generalized_grid(sol, g, np.array([t]))
+    t = np.array([t])
+    z, zdot = _generalized_grid(sol, g, t, t)
     return ComplexState(z[:, 0], zdot[:, 0])
 
 
@@ -397,10 +402,11 @@ def eval_pair_solution(ps: PairSolution, t: float) -> PairState:
     return _pair_states(ps, np.array([t], dtype=np.float64))[0]
 
 
-def _pair_states(ps: PairSolution, times) -> Trajectory:
-    """Closed-form states of the doubled system over a strictly
-    monotone time grid, as the pair Trajectory of the 2n particles, plus
-    family first.
+def _pair_states(ps: PairSolution, s, t=None) -> Trajectory:
+    """Closed-form states of the doubled system at the strictly monotone
+    times s since the initial data, as the pair Trajectory of the 2n
+    particles, plus family first, over the sample times t (s when None),
+    at which a failure reports.
 
     The relative part is one grid of _eval_grid's values and the centre
     part one (n, m) expression.  Samples are checked in time order, and
@@ -409,10 +415,11 @@ def _pair_states(ps: PairSolution, times) -> Trajectory:
     (BlowupError), then an exact plus/minus coincidence
     (PairCollisionError).
     """
-    t = np.asarray(times, dtype=np.float64)
-    exponent, rel, reldot = _grid_values(ps.relative, t)
+    s = np.asarray(s, dtype=np.float64)
+    t = s if t is None else t
+    exponent, rel, reldot = _grid_values(ps.relative, s)
     bad = _first_failure(exponent, rel, reldot)
-    zsum, zdotsum = _center_grid(ps.center, t)
+    zsum, zdotsum = _center_grid(ps.center, s)
     with np.errstate(over="ignore", invalid="ignore"):
         z = 0.5 * np.concatenate([zsum + rel, zsum - rel])
         zdot = 0.5 * np.concatenate([zdotsum + reldot, zdotsum - reldot])
@@ -473,8 +480,9 @@ def row_sums_zero(c: CouplingSpec) -> bool:
 
 
 def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Trajectory:
-    """Real-coordinate states over a strictly monotone time grid (base
-    or generalized model), as the Trajectory of those times.
+    """Real-coordinate states over a strictly monotone grid of times
+    since the initial data (base or generalized model), as the
+    Trajectory of those times.
 
     The whole grid is evaluated as one (n, m) array expression; a
     blow-up anywhere on it raises for the first failing sample.  Having
@@ -484,11 +492,7 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
     checked again.
     """
     t = np.asarray(times, dtype=np.float64)
-    if g is None or (g.lam == 0.0 and g.omega == 0.0):
-        z, zdot = _eval_grid(sol, t, t)
-    else:
-        z, zdot = _generalized_grid(sol, g, t)
-    return Trajectory(t, *_state_grid(z, zdot))
+    return Trajectory(t, *_state_grid(*_generalized_grid(sol, g, t, t)))
 
 
 def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False):

@@ -6,8 +6,8 @@ Output is sampled on a fixed grid through DOPRI5's continuous
 extension, a quartic in the step fraction built from the seven stage
 derivatives each step already holds (Hairer, Norsett and Wanner,
 Solving ODEs I, section II.6; Shampine, Math. Comp. 46, 1986), so a
-step may hold any number of samples.  By default the step size is
-capped at the output spacing; a scenario's h_max lifts the cap.
+step may hold any number of samples.  The tolerances alone set the
+step size, and h_max, when given, caps it.
 
 Guards: a relative origin guard (collision), a 1e150 magnitude bound
 (double-exponential blow-up) and a minimum step size (underflow), which
@@ -121,9 +121,9 @@ _DP_PT = np.ascontiguousarray(_DP_P.T)
 class IntegratorConfig:
     """Tolerances, step-size limits, time span and output sampling.
 
-    h_max = None caps the step at the output sample spacing; any step
-    size samples through the step's interpolant.  The sample times must
-    be distinct and ordered in floating point.
+    h_max = None caps the step at the span only, so the tolerances
+    alone set it.  The sample times must be distinct and ordered in
+    floating point.
     """
 
     rtol: float = 1e-9
@@ -168,7 +168,7 @@ class IntegratorConfig:
         if self.h_max is not None:
             return float(self.h_max)
         t0, t1 = self.t_span
-        return abs(t1 - t0) / (self.sample_count - 1)
+        return abs(t1 - t0)
 
 
 @dataclass(frozen=True)

@@ -186,11 +186,7 @@ TWO_PI = 6.283185307179586
 
 
 def builtin_scenarios() -> dict[str, dict]:
-    """Built-in demonstration scenarios, keyed by demo name.
-
-    Each sets h_max to its span: the samples come from every step's
-    interpolant, so the step size need not follow the sample spacing.
-    """
+    """Built-in demonstration scenarios, keyed by demo name."""
     return {
         "circle": {
             "name": "circle",
@@ -198,7 +194,7 @@ def builtin_scenarios() -> dict[str, dict]:
             "beta": [[0.0]],
             "gamma": [[0.0]],
             "initial": [[1.0, 0.0, 0.0, 1.0]],
-            "integrator": {"t_span": [0.0, TWO_PI], "samples": 201, "h_max": TWO_PI},
+            "integrator": {"t_span": [0.0, TWO_PI], "samples": 201},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "damped": {
@@ -211,7 +207,7 @@ def builtin_scenarios() -> dict[str, dict]:
                 [0.0, 1.2, -0.3, 0.0],
                 [-0.8, 0.5, 0.1, -0.2],
             ],
-            "integrator": {"t_span": [0.0, 20.0], "samples": 401, "h_max": 20.0},
+            "integrator": {"t_span": [0.0, 20.0], "samples": 401},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "periodic-2-3": {
@@ -220,7 +216,7 @@ def builtin_scenarios() -> dict[str, dict]:
             "beta": [[0.0, 0.0], [0.0, 0.0]],
             "gamma": [[2.0, 0.0], [0.0, 3.0]],
             "initial": [[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, -0.4, 0.0]],
-            "integrator": {"t_span": [0.0, 14.0], "samples": 281, "h_max": 14.0},
+            "integrator": {"t_span": [0.0, 14.0], "samples": 281},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "similarity": {
@@ -230,7 +226,7 @@ def builtin_scenarios() -> dict[str, dict]:
             "gamma": [[0.0, 0.0], [0.0, 0.0]],
             # velocities chosen so v_j = 0.3 r_j + 0.7 perp(r_j)
             "initial": [[1.0, 0.0, 0.3, 0.7], [0.0, 1.0, -0.7, 0.3]],
-            "integrator": {"t_span": [0.0, 2.0], "samples": 201, "h_max": 2.0},
+            "integrator": {"t_span": [0.0, 2.0], "samples": 201},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "pair": {
@@ -245,7 +241,7 @@ def builtin_scenarios() -> dict[str, dict]:
                 [-0.5, 0.1, 0.0, -0.2],
                 [0.3, -0.8, 0.2, 0.0],
             ],
-            "integrator": {"t_span": [0.0, 1.0], "samples": 201, "h_max": 1.0},
+            "integrator": {"t_span": [0.0, 1.0], "samples": 201},
             "outputs": ["trajectory", "comparison", "classification"],
         },
     }

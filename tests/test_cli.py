@@ -958,3 +958,57 @@ def test_pair_spectrum_with_two_infinite_eigenvalues_is_ordered_without_warning(
     values = [line.split(": ")[1] for line in captured.out.splitlines() if line.startswith("eigenvalue_")]
     assert values[:4] == ["0.10000000000000001+1i"] * 4
     assert values[6:] == ["inf+0i"] * 2
+
+
+def _offset_scenarios():
+    """Scenarios whose t_span does not start at 0, one per variant."""
+    base = _basic_scenario("base-offset")
+    base.update(beta=[[0.0]], gamma=[[0.0]], initial=[[1.0, 0.0, 0.0, 1.0]])
+    base["integrator"] = {"t_span": [5.0, 21.0], "samples": 17}
+    generalized = _basic_scenario("generalized-offset")
+    generalized.update(
+        variant="generalized",
+        beta=[[0.3, -0.2], [0.1, 0.2]],
+        gamma=[[0.1, 0.4], [-0.3, 0.2]],
+        generalized_params={"lambda": -0.2, "omega": 1.3},
+        initial=[[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, -0.4, 0.0]],
+    )
+    generalized["integrator"] = {"t_span": [1.5, 5.5], "samples": 41}
+    pair = dict(builtin_scenarios()["pair"], name="pair-offset")
+    pair["integrator"] = {"t_span": [-3.0, 1.0], "samples": 81}
+    return [base, generalized, pair]
+
+
+@pytest.mark.parametrize("data", _offset_scenarios(), ids=lambda d: d["name"])
+def test_closed_form_holds_the_initial_data_at_the_start_of_the_span(tmp_path, data):
+    path = _write_scenario(tmp_path, data)
+    assert main(["compare", "--scenario", path, "--out-dir", str(tmp_path)]) == 0
+    report = (tmp_path / f"{data['name']}_compare.txt").read_text().splitlines()
+    rel = [float(line.split(": ")[1]) for line in report if line.startswith("max_") and "_rel" in line]
+    assert len(rel) == 2 and max(rel) <= 1e-6
+    first = np.loadtxt(tmp_path / f"{data['name']}_exact.csv", delimiter=",", skiprows=1)[0]
+    assert first[0] == data["integrator"]["t_span"][0]
+    assert np.allclose(first[1:], np.ravel(data["initial"]), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_closed_form_failure_on_an_offset_span_reports_its_sample_time(tmp_path, capsys):
+    # log|z| = e^s - 1 from the start t0 = 10 passes 700 at s = 6.56
+    data = _basic_scenario("escape")
+    data.update(beta=[[1.0]], gamma=[[0.0]], initial=[[1.0, 0.0, 1.0, 0.0]])
+    data["integrator"] = {"t_span": [10.0, 20.0], "samples": 101}
+    path = _write_scenario(tmp_path, data)
+    assert main(["solve", "--scenario", path, "--out-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: ") and "at t = 16.6 " in lines[0]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "integrate"])
+def test_rotated_couplings_that_overflow_at_the_start_exit_1_with_one_overflow_line(tmp_path, capsys, command):
+    # alpha e^{mu t0} with lam t0 = 1000 is past the float64 range on both routes
+    data = _basic_scenario("late")
+    data.update(variant="generalized", generalized_params={"lambda": 1.0, "omega": 0.5})
+    data["integrator"] = {"t_span": [1000.0, 1001.0], "samples": 5}
+    path = _write_scenario(tmp_path, data)
+    assert _one_error_line(capsys, [command, "--scenario", path, "--out-dir", str(tmp_path)], "Overflow") == 1

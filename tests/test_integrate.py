@@ -55,7 +55,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h_max=-1.0)
     cfg = IntegratorConfig(t_span=(0.0, 2.0), sample_count=5)
-    assert cfg.effective_h_max() == 0.5
+    assert cfg.effective_h_max() == 2.0
     assert IntegratorConfig(h_max=0.125).effective_h_max() == 0.125
     assert with_samples(cfg, 9).sample_count == 9
 
@@ -85,7 +85,7 @@ def test_circle_accuracy():
     assert np.max(np.abs(traj.positions - want_pos)) < 1e-8
     assert np.max(np.abs(traj.velocities - want_vel)) < 1e-8
     stats = traj.metadata["stats"]
-    assert stats["accepted"] >= 100  # h capped at the sample spacing
+    assert stats["accepted"] >= 100  # the tolerances alone set the step: 133 steps
     # FSAL: six evaluations per attempted step plus the very first one
     assert stats["rhs_evaluations"] <= 6 * (stats["accepted"] + stats["rejected"]) + 1
 
@@ -691,3 +691,18 @@ def test_a_guard_trip_whose_halved_step_cannot_move_t_is_a_collision():
     with pytest.raises(OriginCollisionError, match="stage past the start") as info:
         integrate(_counting_rhs(rhs), s0, cfg)
     assert info.value.time == 1e15 + 0.125
+
+
+def test_the_sample_count_does_not_move_the_steps():
+    # the tolerances alone set the step; the grid is read off each
+    # step's interpolant, so a finer grid samples the same run
+    c, s0 = circle_setup()
+    runs = [
+        integrate(lambda t, s: rhs_base(c, s), s0, IntegratorConfig(t_span=(0.0, 8.0), sample_count=m))
+        for m in (33, 257)
+    ]
+    coarse, fine = runs
+    assert coarse.metadata["stats"] == fine.metadata["stats"]
+    assert np.array_equal(fine.times[::8], coarse.times)
+    assert np.max(np.abs(fine.positions[::8] - coarse.positions)) <= 1e-15
+    assert np.max(np.abs(fine.velocities[::8] - coarse.velocities)) <= 1e-15
