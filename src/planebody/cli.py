@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands:
+Commands:
 
     solve      closed-form trajectory on the sample grid -> <name>_exact.csv
     integrate  adaptive numeric trajectory               -> <name>_numeric.csv
@@ -9,7 +9,10 @@ Subcommands:
     classify   spectrum report, period prediction and
                best-effort period detection on the
                closed-form grid                          -> <name>_classify.txt
-    demo       write a built-in scenario file, then run the full pipeline
+    demo NAME  write a built-in scenario file, then run the full pipeline
+
+demo takes a built-in NAME, every other command --scenario FILE; every
+option applies to every command.
 
 Exit codes: 0 success, 1 runtime/model failure, 2 configuration or usage
 failure, an output directory or file that cannot be written and a sample
@@ -57,38 +60,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="planebody", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--samples", type=int, default=None, help="override sample count")
-        p.add_argument("--rtol", type=float, default=None, help="override relative tolerance")
-        p.add_argument("--atol", type=float, default=None, help="override absolute tolerance")
-
-    p = sub.add_parser("solve", help="evaluate the closed-form solution")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("integrate", help="integrate the equations of motion")
-    common(p)
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("compare", help="run both routes and report deviations")
-    common(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("classify", help="classify the coupling spectrum")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("demo", help="write and run a built-in scenario")
-    p.add_argument("name", choices=sorted(builtin_scenarios()), help="demo name")
-    common(p, scenario=False)
-    p.set_defaults(func=_cmd_demo)
-
+    parser = _Parser(prog="planebody", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND", help=", ".join(_COMMANDS))
+    parser.add_argument("name", nargs="?", choices=sorted(builtin_scenarios()), help="demo name")
+    parser.add_argument("--scenario", metavar="FILE", help="scenario JSON file (not for demo)")
+    parser.add_argument("--out-dir", default=".", metavar="DIR", help="directory for output files")
+    parser.add_argument("--samples", type=int, metavar="N", help="override sample count")
+    parser.add_argument("--rtol", type=float, metavar="X", help="override relative tolerance")
+    parser.add_argument("--atol", type=float, metavar="X", help="override absolute tolerance")
     return parser
 
 
@@ -99,11 +79,11 @@ def _load(args) -> Scenario:
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     changes = {}
-    if getattr(args, "samples", None) is not None:
+    if args.samples is not None:
         changes["sample_count"] = args.samples
-    if getattr(args, "rtol", None) is not None:
+    if args.rtol is not None:
         changes["rtol"] = args.rtol
-    if getattr(args, "atol", None) is not None:
+    if args.atol is not None:
         changes["atol"] = args.atol
     if not changes:
         return sc
@@ -115,13 +95,12 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
 
 
 def _exact_trajectory(sc: Scenario) -> Trajectory:
-    """The closed form on the sample grid t.  Like the integrator, it
-    holds sc.initial at t0 = t_span[0]: it is evaluated at the times
-    s = t - t0 since then, and a failure reports its sample time t."""
+    """The closed form on the sample grid.  Like the integrator, it holds
+    sc.initial at t0 = t_span[0]."""
     times = sc.integrator.sample_times()
     t0 = sc.integrator.t_span[0]
     if sc.variant == "pair":  # autonomous
-        return exact._pair_states(exact.pair_solve(sc.pair, sc.initial), times - t0, times)
+        return exact._pair_states(exact.pair_solve(sc.pair, sc.initial, t0), times)
     couplings, g = sc.couplings, sc.generalized
     if g is not None and t0 != 0.0:
         # from t0 on, the couplings alpha e^{mu t} are (alpha e^{mu t0}) e^{mu s};
@@ -131,10 +110,7 @@ def _exact_trajectory(sc: Scenario) -> Trajectory:
         if not np.isfinite(alpha).all():
             raise BlowupError(f"the couplings alpha e^(mu t) overflow at t = {t0}", time=t0)
         couplings = CouplingSpec(alpha.real, alpha.imag)
-    sol = exact.spectral_solve(couplings, to_complex(sc.initial))
-    if t0 == 0.0:  # s is t: the public grid, which perfbench/tracing.py wraps
-        return exact.exact_states(sol, times, g=g)
-    return Trajectory(times, *exact._state_grid(*exact._generalized_grid(sol, g, times - t0, times)))
+    return exact.exact_states(exact.spectral_solve(couplings, to_complex(sc.initial), t0), times, g=g)
 
 
 def _numeric_trajectory(sc: Scenario) -> Trajectory:
@@ -313,11 +289,18 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+_COMMANDS = {"solve": _cmd_solve, "integrate": _cmd_integrate, "compare": _cmd_compare,
+             "classify": _cmd_classify, "demo": _cmd_demo}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
+    demo = args.command == "demo"
+    if (args.name is None) == demo or (args.scenario is None) != demo:
+        parser.error("demo takes NAME and no --scenario, the other commands --scenario and no NAME")
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except ScenarioError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2

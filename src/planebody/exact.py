@@ -100,11 +100,13 @@ def phi1(x):
 
 @dataclass(frozen=True)
 class SpectralSolution:
-    """Spectrum, coefficient matrix (column k scales eigenvector k), z(0)."""
+    """Spectrum, coefficient matrix (column k scales eigenvector k), and
+    z0, the positions at t0; evaluators read times t, with s = t - t0."""
 
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     z0: np.ndarray
+    t0: float = 0.0
 
     @property
     def n(self) -> int:
@@ -130,7 +132,7 @@ def _clusters(w: np.ndarray, v: np.ndarray, ctol: float) -> list[list[int]]:
     return clusters
 
 
-def _degenerate_solve(a: np.ndarray, w: np.ndarray, v: np.ndarray, f0, z0, cond):
+def _degenerate_solve(a: np.ndarray, w: np.ndarray, v: np.ndarray, f0, cond):
     """Spectral representation when the eigenbasis is numerically defective.
 
     LAPACK splits a k-fold defective eigenvalue by about eps**(1/k) and
@@ -141,6 +143,7 @@ def _degenerate_solve(a: np.ndarray, w: np.ndarray, v: np.ndarray, f0, z0, cond)
     A - mean*I.  The representation is accepted only when f(0) lies in
     the span of all representatives, which keeps the evaluated f(t) an
     actual solution of f' = A f.  Otherwise the defect is fatal.
+    Returns the eigenvalues and coefficients.
     """
     n = a.shape[0]
     tol = _REPRESENTATION_RTOL * float(np.linalg.norm(a))
@@ -169,10 +172,10 @@ def _degenerate_solve(a: np.ndarray, w: np.ndarray, v: np.ndarray, f0, z0, cond)
                 condition_estimate=cond,
             )
         coeffs[:, columns] = reps * y
-    return SpectralSolution(eigenvalues=w, coefficients=coeffs, z0=np.array(z0))
+    return w, coeffs
 
 
-def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
+def spectral_solve(c: CouplingSpec, initial: ComplexState, t0: float = 0.0) -> SpectralSolution:
     """Expand the initial data in the eigenbasis of the coupling matrix.
 
     Solves V coeff = z'(0)/z(0) so that the row sums of the coefficient
@@ -180,7 +183,8 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     matrix is accepted only when that vector is representable in the
     span of its eigenvectors (e.g. similarity initial data on a
     rank-deficient matrix); anything else raises DefectiveMatrixError.
-    Initial log-derivatives that overflow raise BlowupError at t = 0.
+    The initial data hold at t0; initial log-derivatives that overflow
+    raise BlowupError at t0.
     """
     if c.n != initial.n:
         raise ValueError(f"coupling size {c.n} does not match state size {initial.n}")
@@ -190,20 +194,19 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState) -> SpectralSolution:
     finite = np.isfinite(f0)
     if not finite.all():
         j = int(np.argmin(finite))
-        raise BlowupError(f"particle {j + 1} log-derivative z'/z overflows at t = 0.0", time=0.0)
+        raise BlowupError(f"particle {j + 1} log-derivative z'/z overflows at t = {t0}", time=t0)
     a = alpha_matrix(c)
     w, v, cond = linalg._eig_raw(a)
     if cond > linalg.DEFECT_THRESHOLD:
-        return _degenerate_solve(a, w, v, f0, initial.z, cond)
-    coeff = np.linalg.solve(v, f0)  # v is the basis _eig_raw judged, cond(v) <= 1e8
-    return SpectralSolution(
-        eigenvalues=w, coefficients=v * coeff, z0=initial.z.copy()
-    )
+        w, coeffs = _degenerate_solve(a, w, v, f0, cond)
+    else:  # v is the basis _eig_raw judged, cond(v) <= 1e8
+        coeffs = v * np.linalg.solve(v, f0)
+    return SpectralSolution(eigenvalues=w, coefficients=coeffs, z0=initial.z.copy(), t0=t0)
 
 
 def eval_f(sol: SpectralSolution, t) -> np.ndarray:
     """Log-derivatives f(t); t may be real or complex."""
-    return sol.coefficients @ np.exp(sol.eigenvalues * t)
+    return sol.coefficients @ np.exp(sol.eigenvalues * (t - sol.t0))
 
 
 def eval_z(sol: SpectralSolution, t) -> ComplexState:
@@ -214,7 +217,8 @@ def eval_z(sol: SpectralSolution, t) -> ComplexState:
     (or collapse onto the origin) stops being representable in double
     precision, and when z or z' overflows inside that range.
     """
-    z, zdot = _eval_grid(sol, np.array([t]), np.array([t]))
+    t = np.array([t])
+    z, zdot = _eval_grid(sol, t - sol.t0, t)
     return ComplexState(z[:, 0], zdot[:, 0])
 
 
@@ -322,10 +326,11 @@ def _time_substitution(g: GeneralizedParams, t: np.ndarray):
     return t * phi, rate
 
 
-def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams | None, s: np.ndarray, t: np.ndarray):
-    """z and z' as (n, m) arrays at the times s since the initial data, of
-    the base model (g None, or lam = omega = 0) or the generalized one;
-    a failure reports its time in t, as in _eval_grid."""
+def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams | None, t: np.ndarray):
+    """z and z' as (n, m) arrays at the times t, of the base model (g None,
+    or lam = omega = 0) or the generalized one with sol's couplings at
+    sol.t0; evaluated at s = t - t0, a failure reports its t (_eval_grid)."""
+    s = t - sol.t0
     if g is None or (g.lam == 0.0 and g.omega == 0.0):
         return _eval_grid(sol, s, t)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _eval_grid
@@ -337,8 +342,7 @@ def eval_generalized(sol: SpectralSolution, g: GeneralizedParams, t: float) -> C
     """State of the generalized model: base solution at tau(t), with the
     velocity picking up the chain-rule factor dtau/dt = exp((lam+i omega) t).
     A blow-up reports the physical time t, not tau(t)."""
-    t = np.array([t])
-    z, zdot = _generalized_grid(sol, g, t, t)
+    z, zdot = _generalized_grid(sol, g, np.array([t]))
     return ComplexState(z[:, 0], zdot[:, 0])
 
 
@@ -379,18 +383,19 @@ class PairSolution:
     center: CenterSolution
 
 
-def pair_solve(p: PairSpec, initial: PairState) -> PairSolution:
-    """Spectral data of the differences and center data of the sums.
+def pair_solve(p: PairSpec, initial: PairState, t0: float = 0.0) -> PairSolution:
+    """Spectral data of the differences and center data of the sums, of
+    initial data that hold at t0.
 
-    Raises BlowupError (at t = 0) when a difference or sum of the two
+    Raises BlowupError (at t0) when a difference or sum of the two
     families overflows."""
     plus, minus = initial.plus, initial.minus
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         diffs = (plus.positions - minus.positions, plus.velocities - minus.velocities)
         sums, sumv = plus.positions + minus.positions, plus.velocities + minus.velocities
     if not all(np.isfinite(a).all() for a in (*diffs, sums, sumv)):
-        raise BlowupError("a plus/minus difference or sum overflows at t = 0.0", time=0.0)
-    rel = spectral_solve(p.base, ComplexState(*(_complex_view(d) for d in diffs)))
+        raise BlowupError(f"a plus/minus difference or sum overflows at t = {t0}", time=t0)
+    rel = spectral_solve(p.base, ComplexState(*(_complex_view(d) for d in diffs)), t0)
     center = CenterSolution(
         z0=_complex_view(sums), zdot0=_complex_view(sumv), mu=p.lam + 1j * p.omega
     )
@@ -402,11 +407,10 @@ def eval_pair_solution(ps: PairSolution, t: float) -> PairState:
     return _pair_states(ps, np.array([t], dtype=np.float64))[0]
 
 
-def _pair_states(ps: PairSolution, s, t=None) -> Trajectory:
+def _pair_states(ps: PairSolution, t) -> Trajectory:
     """Closed-form states of the doubled system at the strictly monotone
-    times s since the initial data, as the pair Trajectory of the 2n
-    particles, plus family first, over the sample times t (s when None),
-    at which a failure reports.
+    times t, as the pair Trajectory of the 2n particles, plus family
+    first, evaluated at s = t - ps.relative.t0; a failure reports its t.
 
     The relative part is one grid of _eval_grid's values and the centre
     part one (n, m) expression.  Samples are checked in time order, and
@@ -415,8 +419,8 @@ def _pair_states(ps: PairSolution, s, t=None) -> Trajectory:
     (BlowupError), then an exact plus/minus coincidence
     (PairCollisionError).
     """
-    s = np.asarray(s, dtype=np.float64)
-    t = s if t is None else t
+    t = np.asarray(t, dtype=np.float64)
+    s = t - ps.relative.t0
     exponent, rel, reldot = _grid_values(ps.relative, s)
     bad = _first_failure(exponent, rel, reldot)
     zsum, zdotsum = _center_grid(ps.center, s)
@@ -481,8 +485,8 @@ def row_sums_zero(c: CouplingSpec) -> bool:
 
 def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Trajectory:
     """Real-coordinate states over a strictly monotone grid of times
-    since the initial data (base or generalized model), as the
-    Trajectory of those times.
+    (base or generalized model), evaluated at the times since sol.t0,
+    as the Trajectory of those times.
 
     The whole grid is evaluated as one (n, m) array expression; a
     blow-up anywhere on it raises for the first failing sample.  Having
@@ -492,7 +496,7 @@ def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = Non
     checked again.
     """
     t = np.asarray(times, dtype=np.float64)
-    return Trajectory(t, *_state_grid(*_generalized_grid(sol, g, t, t)))
+    return Trajectory(t, *_state_grid(*_generalized_grid(sol, g, t)))
 
 
 def _state_grid(z: np.ndarray, zdot: np.ndarray, pair: bool = False):

@@ -1012,3 +1012,52 @@ def test_rotated_couplings_that_overflow_at_the_start_exit_1_with_one_overflow_l
     data["integrator"] = {"t_span": [1000.0, 1001.0], "samples": 5}
     path = _write_scenario(tmp_path, data)
     assert _one_error_line(capsys, [command, "--scenario", path, "--out-dir", str(tmp_path)], "Overflow") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "integrate"])
+@pytest.mark.parametrize("case", ["huge-pair", "steep"])
+def test_initial_data_overflow_on_an_offset_span_names_its_start(tmp_path, capsys, command, case):
+    # at t_span[0] = 5 the families' difference 2e308, or z'/z = 1e310, is past the float64 range
+    data = _basic_scenario(case)
+    data.update(beta=[[0.0]], gamma=[[0.0]], initial=[[1e-10, 0.0, 1e300, 0.0]])
+    if case == "huge-pair":
+        data.update(variant="pair", pair_params={"Lambda": [0.0], "Omega": [0.0]},
+                    initial=[[1e308, 0.0, 0.0, 1.0], [-1e308, 0.0, 0.0, -1.0]])
+    data["integrator"] = {"t_span": [5.0, 6.0], "samples": 5}
+    path = _write_scenario(tmp_path, data)
+    assert main([command, "--scenario", path, "--out-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Overflow: "), lines
+    assert lines[0].endswith(" at t = 5.0") or " at t = 5.0 " in lines[0], lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo"],
+    ["demo", "circle", "--scenario", "x.json"],
+    ["solve", "circle", "--scenario", "x.json"],
+])
+def test_a_command_without_its_one_scenario_source_is_one_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR Usage: "), lines
+
+
+@pytest.mark.parametrize("order", ["name-first", "options-first"])
+def test_demo_takes_every_option(tmp_path, order):
+    options = ["--out-dir", str(tmp_path), "--samples", "41", "--rtol", "1e-8", "--atol", "1e-11"]
+    argv = ["demo", "circle"] + options if order == "name-first" else ["demo"] + options + ["circle"]
+    assert main(argv) == 0
+    for route in ("exact", "numeric"):
+        data = np.loadtxt(tmp_path / f"circle_{route}.csv", delimiter=",", skiprows=1)
+        assert data.shape == (41, 5)
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("    ")}
+    assert {"solve", "integrate", "compare", "classify", "demo"} <= listed

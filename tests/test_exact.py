@@ -805,3 +805,73 @@ def test_tau_map_and_center_grid_match_the_phi1_reference(lam, omega):
         mt = np.multiply.outer(rates, t)
         assert _same_bits(z, cs.z0[:, None] + cs.zdot0[:, None] * (t * _reference_phi1(mt)))
         assert _same_bits(zdot, cs.zdot0[:, None] * _cexp(mt))
+
+
+# dyadic times: (T0 + s) - T0 == s, so a solution that holds its data at T0
+# and one that holds them at 0 evaluate at the same s
+T0 = 5.0
+DYADIC = np.arange(-16, 49) / 8.0
+
+
+@pytest.mark.parametrize("case", ["base", "generalized", "rotating", "pair"])
+def test_a_solution_at_t0_evaluated_at_t0_plus_s_is_the_one_at_0_evaluated_at_s(case):
+    from planebody.exact import _pair_states
+
+    rng = np.random.default_rng(2424)
+    t = T0 + DYADIC
+    assert np.array_equal(t - T0, DYADIC)
+    if case == "pair":
+        p, s0 = _pair_case(rng, 3)
+        at0, at5 = pair_solve(p, s0), pair_solve(p, s0, T0)
+        assert at5.relative.t0 == T0
+        got, want = _pair_states(at5, t), _pair_states(at0, DYADIC)
+        one, other = eval_pair_solution(at5, T0 + 1.25), eval_pair_solution(at0, 1.25)
+        assert _same_bits(one.plus.positions, other.plus.positions)
+        assert _same_bits(one.minus.velocities, other.minus.velocities)
+    else:
+        g = {"base": None, "generalized": GeneralizedParams(0.2, 0.9), "rotating": GeneralizedParams(0.0, 1.3)}[case]
+        c, initial = random_couplings(rng, 3), to_complex(random_state(rng, 3))
+        at0, at5 = spectral_solve(c, initial), spectral_solve(c, initial, T0)
+        assert at0.t0 == 0.0 and at5.t0 == T0
+        got, want = exact_states(at5, t, g=g), exact_states(at0, DYADIC, g=g)
+        for s in (-2.0, 0.0, 1.25, 6.0):
+            assert _same_bits(eval_f(at5, T0 + s), eval_f(at0, s))
+            one, other = eval_z(at5, T0 + s), eval_z(at0, s)
+            assert _same_bits(one.z, other.z) and _same_bits(one.zdot, other.zdot)
+            if g is not None:
+                one, other = eval_generalized(at5, g, T0 + s), eval_generalized(at0, g, s)
+                assert _same_bits(one.z, other.z) and _same_bits(one.zdot, other.zdot)
+    assert _same_bits(got.times, t)
+    assert _same_bits(got.positions, want.positions)
+    assert _same_bits(got.velocities, want.velocities)
+
+
+@pytest.mark.parametrize("case", ["base", "generalized", "pair"])
+def test_a_failure_at_t0_plus_s_reports_the_time_of_the_failure_at_s(case):
+    from planebody.errors import PairCollisionError
+    from planebody.exact import _pair_states
+
+    s = np.arange(0, 161) / 8.0
+    if case == "pair":
+        # the families coincide exactly near s = 1 (see _collapsing_pair)
+        p = PairSpec(base=zero_couplings(1), lam=np.array([0.0]), omega=np.array([0.0]))
+        s0 = PairState(plus=PlaneState([[1.0, 1.0]], [[-20.0, 0.0]]),
+                       minus=PlaneState([[0.0, 1.0]], [[20.0, 0.0]]))
+        error = PairCollisionError
+
+        def run(t0, times):
+            return _pair_states(pair_solve(p, s0, t0), times)
+    else:
+        # log|z| = e^s - 1 (base) or e^{tau(s)} - 1 with real tau (lam = 0.3) escapes past 700
+        g = GeneralizedParams(0.3, 0.0) if case == "generalized" else None
+        c, initial = CouplingSpec([[1.0]], [[0.0]]), ComplexState(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+        error = BlowupError
+
+        def run(t0, times):
+            return exact_states(spectral_solve(c, initial, t0), times, g=g)
+    with pytest.raises(error) as at0:
+        run(0.0, s)
+    with pytest.raises(error) as at5:
+        run(T0, T0 + s)
+    assert 0.0 < at0.value.time < s[-1]
+    assert at5.value.time == T0 + at0.value.time
