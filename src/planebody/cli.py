@@ -246,7 +246,8 @@ def _detect_on_trajectory(sc: Scenario, w: np.ndarray, traj: Trajectory | None):
 
     traj is that trajectory made earlier; without one, it is evaluated
     here.  A closed form that fails reports its error code, a grid that
-    detect_period cannot read its reason.
+    detect_period cannot read its reason, and a seeded candidate longer
+    than half the span says so.
     """
     try:
         if traj is None:
@@ -255,8 +256,10 @@ def _detect_on_trajectory(sc: Scenario, w: np.ndarray, traj: Trajectory | None):
             return detect_period(traj, eigenvalues=w)
         except ValueError as exc:  # sample times that round to uneven steps
             return f"unavailable ({exc})"
-    except InsufficientSpanError:
-        return "unavailable (time span shorter than twice the candidate period)"
+        except InsufficientSpanError as exc:
+            if len(traj) < 3:  # too few samples for any candidate
+                return f"unavailable ({exc})"
+            return "unavailable (time span shorter than twice the candidate period)"
     except PlanebodyError as exc:
         return f"unavailable ({exc.code})"
 

@@ -389,16 +389,15 @@ def pair_solve(p: PairSpec, initial: PairState, t0: float = 0.0) -> PairSolution
 
     Raises BlowupError (at t0) when a difference or sum of the two
     families overflows."""
-    plus, minus = initial.plus, initial.minus
+    zp, zm = np.split(_complex_view(initial.positions), 2)
+    vp, vm = np.split(_complex_view(initial.velocities), 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        diffs = (plus.positions - minus.positions, plus.velocities - minus.velocities)
-        sums, sumv = plus.positions + minus.positions, plus.velocities + minus.velocities
-    if not all(np.isfinite(a).all() for a in (*diffs, sums, sumv)):
+        diffs = zp - zm, vp - vm
+        sums = zp + zm, vp + vm
+    if not all(np.isfinite(a).all() for a in (*diffs, *sums)):
         raise BlowupError(f"a plus/minus difference or sum overflows at t = {t0}", time=t0)
-    rel = spectral_solve(p.base, ComplexState(*(_complex_view(d) for d in diffs)), t0)
-    center = CenterSolution(
-        z0=_complex_view(sums), zdot0=_complex_view(sumv), mu=p.lam + 1j * p.omega
-    )
+    rel = spectral_solve(p.base, ComplexState(*diffs), t0)
+    center = CenterSolution(z0=sums[0], zdot0=sums[1], mu=p.lam + 1j * p.omega)
     return PairSolution(relative=rel, center=center)
 
 

@@ -22,11 +22,12 @@ accepted step needs no check of its own: its solution is the input of
 its last stage.
 
 The state is packed into one float64 stage row: every position, then
-every velocity, as (x, y) pairs.  A pair state is packed as the plane
-state of its 2n particles, the plus family before the minus family
-(`model._stacked`), so there is one packing.  A run allocates its
-(7, 4n) stage-input rows, its derivative rows and the buffers of its
-error norm once, and forms each stage input in place, bit for bit
+every velocity, as (x, y) pairs.  A PairState already is the plane
+state of its 2n particles, the plus family before the minus family, so
+there is one packing, read from the initial state's positions and
+velocities.  A run allocates its (7, 4n) stage-input rows, its
+derivative rows and the buffers of its error norm once, and forms each
+stage input in place, bit for bit
 y + h * (A_i @ k[:i]).  The error norm's |y_new| also decides the 1e150
 bound and is the next step's |y|.  A run enters np.errstate once:
 every stage checks its input and its accelerations itself.
@@ -36,9 +37,9 @@ returns stage(i, t), which fills the acceleration half acc[i] of
 derivative row i from stage-input row i.  The built-in laws
 (`model._PlaneForce` and `model._PairForce`, which the CLI passes) bind
 complex views of every row; any other rhs(t, state) is bound through
-`_UserForce` to read-only PlaneState views of every row, or to the
-plus and minus views of a pair row.  So no stage takes a view, a slice
-or a reshape.  Stage i checks row i for finiteness, copies its velocity
+`_UserForce` to a read-only PlaneState or PairState view of every
+row.  So no stage takes a view, a slice or a reshape.  Stage i checks
+row i for finiteness, copies its velocity
 half into the first half of derivative row i, calls stage(i, t) and
 checks the accelerations.  Each finiteness test is x.dot(zeros): that
 is NaN when x holds an inf or a NaN and +-0 otherwise, so it decides
@@ -64,16 +65,7 @@ from .errors import (
     PairCollisionError,
     StepUnderflowError,
 )
-from .model import (
-    PairState,
-    PlaneState,
-    _families,
-    _PairForce,
-    _PlaneForce,
-    _stacked,
-    _state_view,
-    check_origin_guard,
-)
+from .model import PairState, PlaneState, _PlaneForce, check_origin_guard
 
 OVERFLOW_LIMIT = 1e150
 
@@ -179,8 +171,9 @@ class Trajectory(Sequence):
     are; anything else is copied and frozen.
 
     A read-only sequence of at least one sample: an index reads a sample
-    as a PlaneState or PairState view (`model._state_view`), a slice is
-    the Trajectory of those samples.
+    as a PlaneState or PairState view of the sample's rows (a pair sample
+    runs PairState's exact-coincidence check), a slice is the Trajectory
+    of those samples.
     """
 
     times: np.ndarray
@@ -220,7 +213,11 @@ class Trajectory(Sequence):
             return replace(
                 self, times=self.times[i], positions=self.positions[i], velocities=self.velocities[i]
             )
-        return _state_view(self.positions[i], self.velocities[i], self.pair)
+        if not self.pair:
+            return PlaneState._checked(self.positions[i], self.velocities[i])
+        s = PairState._checked(self.positions[i], self.velocities[i])
+        s.__post_init__()  # the exact-coincidence check
+        return s
 
     def state_at(self, i: int):
         return self[i]
@@ -235,9 +232,9 @@ class _GuardTrip(Exception):
 class _UserForce:
     """A user's rhs(t, state), bound to a run's rows as the built-in laws
     are (`model._PlaneForce`): bind wraps every stage row once, as a
-    read-only PlaneState view or as the PairState of its plus and minus
-    views, and returns stage(i, t).  That runs the origin guard on the
-    positions or the pair differences (which trips on an exact plus/minus
+    read-only PlaneState or PairState view (no coincidence check), and
+    returns stage(i, t).  That runs the origin guard on the positions or
+    the pair differences (which trips on an exact plus/minus
     coincidence), calls rhs and copies its accelerations into acc[i].
     rhs sees a view of the run's row, valid during the call."""
 
@@ -248,24 +245,21 @@ class _UserForce:
     def bind(self, rows: np.ndarray, acc: np.ndarray):
         rhs = self.rhs
         shape = acc.shape[1:]
-        halves = [row.reshape(2, -1, 2) for row in rows]
+        kind = PairState if self.pair else PlaneState
+        states = [kind._checked(*row.reshape(2, -1, 2)) for row in rows]
         if self.pair:
-            pairs = [PairState._checked(*_families(pos, vel)) for pos, vel in halves]
-            diff = np.empty_like(pairs[0].plus.positions)
+            diff = np.empty_like(states[0].plus.positions)
 
-            def state(i):
-                s = pairs[i]
+            def guard(s):
                 check_origin_guard(np.subtract(s.plus.positions, s.minus.positions, out=diff))
-                return s
         else:
-            planes = [PlaneState._checked(pos, vel) for pos, vel in halves]
-
-            def state(i):
-                check_origin_guard(planes[i].positions)
-                return planes[i]
+            def guard(s):
+                check_origin_guard(s.positions)
 
         def stage(i: int, t: float) -> None:
-            acc[i] = np.asarray(rhs(t, state(i)), dtype=np.float64).reshape(shape)
+            s = states[i]
+            guard(s)
+            acc[i] = np.asarray(rhs(t, s), dtype=np.float64).reshape(shape)
 
         return stage
 
@@ -293,7 +287,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     included; metadata carries step statistics and tolerances.
     """
     pair = isinstance(s0, PairState)
-    if isinstance(rhs, (_PlaneForce, _PairForce)):
+    if isinstance(rhs, _PlaneForce):  # or its pair law, _PairForce
         if rhs.pair != pair or rhs.n != s0.n:
             raise ValueError(f"the force law does not fit the initial state ({s0.n} particles)")
         force = rhs
@@ -306,7 +300,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     samples = cfg.sample_times()
     h_max = cfg.effective_h_max()
 
-    pos, vel = _stacked(s0)
+    pos, vel = s0.positions, s0.velocities
     size = 2 * pos.size
     # every position comes before every velocity, so the velocity half
     # of a derivative is the second half of its stage row
@@ -488,12 +482,8 @@ def trajectory_from_states(times, states, pair: bool = False) -> Trajectory:
     if isinstance(states, Trajectory):
         pos, vel, pair = states.positions, states.velocities, states.pair
     else:
-        pos = []
-        vel = []
-        for s in states:
-            p, v = _stacked(s)
-            pos.append(p)
-            vel.append(v)
+        pos = [s.positions for s in states]
+        vel = [s.velocities for s in states]
     return Trajectory(times=times, positions=pos, velocities=vel, pair=pair)
 
 

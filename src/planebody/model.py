@@ -19,22 +19,24 @@ z' f + z (alpha f) in a handful of array operations and one complex
 matrix-vector product, after the origin guard on the squared radii; the
 result is viewed back as (n, 2) floats.  rhs_base and rhs_generalized
 (couplings alpha e^{mu t}, plus mu z', mu = lam + i omega) call
-`_accelerations`; rhs_pair runs the kernel on the differences of its
-two families.  _PlaneForce and _PairForce run the same arithmetic on
-complex views of an integrator run's stage rows, bound once per run,
-and write into the stage derivative in place.  rhs_complex stays an
-independent route: it takes a ComplexState, guards on |z| and shares no
-code with the kernel, so the tests cross-check the two.
+`_accelerations`; rhs_pair runs `_pair_kernel`, the kernel on the
+differences of its two families.  _PlaneForce and _PairForce run the
+same arithmetic on complex views of an integrator run's stage rows,
+bound once per run, and write into the stage derivative in place.
+rhs_complex stays an independent route: it takes a ComplexState, guards
+on |z| and shares no code with the kernel, so the tests cross-check the
+two.
 
 The rhs_* evaluators are pure functions of immutable inputs.
 
-A pair state is the plane state of its 2n particles, plus family
-first: `_stacked` forms that layout and `_state_view` reads it back.
+A pair state is the plane state of its 2n particles, plus family first:
+PairState holds that layout, with its two families as views, and
+`_pair_kernel` is the one law that reads it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,21 +104,19 @@ class PlaneState:
     shape-checks, finiteness-checks and freezes both arrays, so user data
     always goes through it.  `_checked` stores float64 arrays of shape
     (n, 2) with no copy and no check.  Its callers are
-      - the scenario parser (`scenario_from_dict`, through `_state_view`),
-        over the columns of the initial rows it has just checked;
-      - `_state_view` (through `_families` for a pair), one sample at a
-        time as samples are read, over the frozen arrays of an
-        `integrate.Trajectory`: the closed-form grids, every value of
+      - the scenario parser (`scenario_from_dict`), over the columns of
+        the initial rows it has just checked;
+      - `integrate.Trajectory`, one sample at a time as samples are read,
+        over its frozen arrays: the closed-form grids, every value of
         which has been checked, the integrator's output, or a caller's
         arrays, non-finite values included;
       - the integrator's binding of a user's rhs (`integrate._UserForce`),
         once per run, over the rows of its stage inputs: the views stay
         bound for the run, and each stage checks its row for finiteness
-        before the rhs reads it.
-    A pair sample or parsed pair state goes through the PairState
-    constructor, which keeps its exact-coincidence check; a pair stage
-    row is wrapped once per run by `PairState._checked`, and its stages
-    run the origin guard instead.
+        before the rhs reads it;
+      - `PairState`, for the views of its two families.
+    A pair is wrapped the same way by `PairState._checked`, which the
+    same callers use for the 2n stacked particles.
     """
 
     positions: np.ndarray
@@ -208,66 +208,63 @@ class PairSpec:
         return self.base.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairState:
-    """States of the plus and minus particle families (same length)."""
+    """The plane state of the 2n particles of a pair system: (2n, 2)
+    positions and velocities, the plus family before the minus family.
 
-    plus: PlaneState
-    minus: PlaneState
+    plus and minus are read-only PlaneState views of the two halves.  The
+    constructor takes the two families, copies them into the stacked
+    arrays and rejects an exact plus/minus coincidence (`__post_init__`).
+    `_checked` wraps stacked (2n, 2) float64 arrays with no copy and no
+    check, as `PlaneState._checked` does; the scenario parser and a
+    Trajectory's pair samples run `__post_init__` on what it returns, an
+    integrator run's stage rows (`integrate._UserForce`) do not: each
+    stage runs the origin guard on plus - minus, which trips on an exact
+    coincidence.
+    """
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    plus: PlaneState = field(repr=False, compare=False)  # views of the halves
+    minus: PlaneState = field(repr=False, compare=False)
+
+    def __init__(self, plus: PlaneState, minus: PlaneState):
+        if not isinstance(plus, PlaneState) or not isinstance(minus, PlaneState):
+            raise ValueError("plus and minus must be PlaneState instances")
+        if plus.n != minus.n:
+            raise ValueError(f"family sizes differ: plus has {plus.n}, minus has {minus.n}")
+        self._wrap(
+            np.concatenate([plus.positions, minus.positions]),
+            np.concatenate([plus.velocities, minus.velocities]),
+        )
+        self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.plus, PlaneState) or not isinstance(self.minus, PlaneState):
-            raise ValueError("plus and minus must be PlaneState instances")
-        if self.plus.n != self.minus.n:
-            raise ValueError(
-                f"family sizes differ: plus has {self.plus.n}, minus has {self.minus.n}"
-            )
-        if np.any(np.all(self.plus.positions == self.minus.positions, axis=1)):
+        n = self.n
+        if (self.positions[:n] == self.positions[n:]).all(axis=1).any():
             raise PairCollisionError("a plus/minus pair coincides exactly")
 
     @classmethod
-    def _checked(cls, plus: PlaneState, minus: PlaneState) -> "PairState":
-        """Wrap the two family views of one integrator stage row, once
-        per run (`integrate._UserForce`): no checks.  Each stage runs the
-        origin guard on plus - minus, which trips on an exact coincidence."""
+    def _checked(cls, positions: np.ndarray, velocities: np.ndarray) -> "PairState":
+        """Wrap already-checked (2n, 2) float64 arrays, plus family first:
+        no copy, no checks (see the class docstring for its callers)."""
         s = object.__new__(cls)
-        object.__setattr__(s, "plus", plus)
-        object.__setattr__(s, "minus", minus)
+        s._wrap(positions, velocities)
         return s
+
+    def _wrap(self, positions: np.ndarray, velocities: np.ndarray) -> None:
+        positions.setflags(write=False)
+        velocities.setflags(write=False)
+        n = positions.shape[0] // 2
+        object.__setattr__(self, "plus", PlaneState._checked(positions[:n], velocities[:n]))
+        object.__setattr__(self, "minus", PlaneState._checked(positions[n:], velocities[n:]))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "velocities", velocities)
 
     @property
     def n(self) -> int:
         return self.plus.n
-
-
-def _families(positions: np.ndarray, velocities: np.ndarray) -> tuple[PlaneState, PlaneState]:
-    """The plus and minus halves of stacked (2n, 2) float64 arrays, plus
-    family first, as read-only PlaneState views: the one place the
-    stacked layout is split into families."""
-    n = positions.shape[0] // 2
-    return (
-        PlaneState._checked(positions[:n], velocities[:n]),
-        PlaneState._checked(positions[n:], velocities[n:]),
-    )
-
-
-def _state_view(positions: np.ndarray, velocities: np.ndarray, pair: bool = False):
-    """(p, 2) float64 arrays as a read-only PlaneState view, or for a
-    pair as the PairState of its two families (`_families`)."""
-    if not pair:
-        return PlaneState._checked(positions, velocities)
-    return PairState(*_families(positions, velocities))
-
-
-def _stacked(state) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, velocities) of a PlaneState, or of a PairState as the
-    plane state of its 2n particles, plus family first."""
-    if isinstance(state, PairState):
-        return (
-            np.concatenate([state.plus.positions, state.minus.positions]),
-            np.concatenate([state.plus.velocities, state.minus.velocities]),
-        )
-    return state.positions, state.velocities
 
 
 def check_origin_guard(positions: np.ndarray, error=OriginError, r2=None) -> None:
@@ -360,17 +357,22 @@ def _rotated(alpha: np.ndarray, mu: complex, t: float) -> np.ndarray:
     return alpha * np.exp(mu * t) if mu else alpha
 
 
-def _pair_kernel(alpha, mu, zp, zm, vp, vm, out_p=None, out_m=None):
-    """(plus, minus) complex accelerations of the pair model: mu_j =
-    lam_j + i omega_j drives the sums, the base law the differences (see
-    rhs_pair).  Results are written into out_p and out_m when given."""
+def _pair_kernel(alpha, mu, z, zdot, out=None):
+    """Complex accelerations of the pair model on the stacked complex
+    2n-vectors z and z' (plus family first): mu_j = lam_j + i omega_j
+    drives the sums, the base law the differences (see rhs_pair).  The
+    result is written into out when given."""
+    n = alpha.shape[0]
+    zp, zm, vp, vm = z[:n], z[n:], zdot[:n], zdot[n:]
     interaction = _kernel(alpha, zp - zm, vp - vm, PairCollisionError)
     center = mu * (vp + vm)
-    plus = np.add(center, interaction, out=out_p)
+    if out is None:
+        out = np.empty_like(z)
+    plus = np.add(center, interaction, out=out[:n])
     plus *= 0.5
-    minus = np.subtract(center, interaction, out=out_m)
+    minus = np.subtract(center, interaction, out=out[n:])
     minus *= 0.5
-    return plus, minus
+    return out
 
 
 def rhs_base(c: CouplingSpec, s: PlaneState) -> np.ndarray:
@@ -408,27 +410,21 @@ def rhs_pair(p: PairSpec, s: PairState) -> tuple[np.ndarray, np.ndarray]:
     """
     if p.n != s.n:
         raise ValueError(f"coupling size {p.n} does not match state size {s.n}")
-    plus, minus = _pair_kernel(
-        alpha_matrix(p.base),
-        p.lam + 1j * p.omega,
-        _complex_view(s.plus.positions),
-        _complex_view(s.minus.positions),
-        _complex_view(s.plus.velocities),
-        _complex_view(s.minus.velocities),
-    )
-    return _plane_view(plus), _plane_view(minus)
+    z, zdot = _complex_view(s.positions), _complex_view(s.velocities)
+    acc = _plane_view(_pair_kernel(alpha_matrix(p.base), p.lam + 1j * p.omega, z, zdot))
+    return acc[:p.n], acc[p.n:]
 
 
 class _PlaneForce:
     """The base or generalized law, bound to an integrator run's rows.
 
     `integrate` calls bind(rows, acc) once per run, with the run's
-    (7, 4n) stage-input rows (every position, then every velocity, as
-    (x, y) pairs) and the (7, 2n) acceleration halves of its derivative
-    rows.  bind forms the complex views of every row once and returns
-    stage(i, t), which runs the kernel on rows[i] and writes into acc[i]
-    in place: no view, reshape or state object per stage.  The bound
-    views live in the returned closure, not on the instance, so one
+    (7, 4p) stage-input rows of p particles (every position, then every
+    velocity, as (x, y) pairs) and the (7, 2p) acceleration halves of its
+    derivative rows.  bind forms the complex views of every row once and
+    returns stage(i, t), which runs the law on rows[i] and writes into
+    acc[i] in place: no view, reshape or state object per stage.  The
+    bound views live in the returned closure, not on the instance, so one
     instance serves consecutive and nested runs.  The arithmetic is that
     of rhs_base and rhs_generalized, so both routes give identical
     numbers.
@@ -441,22 +437,27 @@ class _PlaneForce:
         self.alpha = alpha_matrix(c)
         self.mu = 0j if g is None else complex(g.lam, g.omega)
 
+    def law(self, t: float, z: np.ndarray, zdot: np.ndarray, out: np.ndarray) -> None:
+        _kernel(_rotated(self.alpha, self.mu, t), z, zdot, mu=self.mu, out=out)
+
     def bind(self, rows: np.ndarray, acc: np.ndarray):
-        n, alpha, mu = self.n, self.alpha, self.mu
+        law = self.law
         complex_rows = [row.view(np.complex128) for row in rows]
-        z = [row[:n] for row in complex_rows]
-        zdot = [row[n:] for row in complex_rows]
+        p = complex_rows[0].shape[0] // 2
+        z = [row[:p] for row in complex_rows]
+        zdot = [row[p:] for row in complex_rows]
         out = [a.view(np.complex128) for a in acc]
 
         def stage(i: int, t: float) -> None:
-            _kernel(_rotated(alpha, mu, t), z[i], zdot[i], mu=mu, out=out[i])
+            law(t, z[i], zdot[i], out[i])
 
         return stage
 
 
-class _PairForce:
-    """The pair law, bound to a run's rows as _PlaneForce is; each half
-    of a stage row holds the plus family before the minus family."""
+class _PairForce(_PlaneForce):
+    """The pair law, bound to a run's rows as _PlaneForce is: a stage row
+    holds the plane state of the 2n particles, plus family first, and
+    only the law differs (rhs_pair's arithmetic)."""
 
     pair = True
 
@@ -465,13 +466,5 @@ class _PairForce:
         self.alpha = alpha_matrix(p.base)
         self.mu = p.lam + 1j * p.omega
 
-    def bind(self, rows: np.ndarray, acc: np.ndarray):
-        n, alpha, mu = self.n, self.alpha, self.mu
-        # (zp, zm, vp, vm) and (out_p, out_m) of every row
-        z = [tuple(row.view(np.complex128).reshape(4, n)) for row in rows]
-        out = [tuple(a.view(np.complex128).reshape(2, n)) for a in acc]
-
-        def stage(i: int, t: float) -> None:
-            _pair_kernel(alpha, mu, *z[i], *out[i])
-
-        return stage
+    def law(self, t: float, z: np.ndarray, zdot: np.ndarray, out: np.ndarray) -> None:
+        _pair_kernel(self.alpha, self.mu, z, zdot, out)

@@ -34,7 +34,6 @@ from .model import (
     PairState,
     PlaneState,
     _frozen_array,
-    _state_view,
 )
 
 VARIANTS = ("base", "generalized", "pair")
@@ -147,7 +146,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     # [x, y, vx, vy] rows: n particles, or 2n for a pair (plus family first)
     rows = _array(_require(data, "initial"), "initial", (2 * n if variant == "pair" else n, 4))
-    initial = _state_view(rows[:, 0:2], rows[:, 2:4], pair=variant == "pair")
+    initial = (PairState if variant == "pair" else PlaneState)._checked(rows[:, 0:2], rows[:, 2:4])
+    if variant == "pair":
+        initial.__post_init__()  # the exact-coincidence check
 
     integrator = _integrator(data.get("integrator"))
 

@@ -1061,3 +1061,14 @@ def test_help_lists_every_command(capsys):
     assert exc.value.code == 0
     listed = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("    ")}
     assert {"solve", "integrate", "compare", "classify", "demo"} <= listed
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_classify_on_two_samples_reports_the_sample_count(tmp_path, capsys, name):
+    # no candidate period exists to be longer than half the span
+    path = _write_scenario(tmp_path, builtin_scenarios()[name])
+    argv = ["classify", "--scenario", path, "--samples", "2", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / f"{name}_classify.txt").read_text().splitlines()
+    assert lines[-1] == "detected_period: unavailable (2 samples cannot confirm any period)"
