@@ -378,7 +378,7 @@ def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
     Constant and non-finite trajectories return None.
     Raises InsufficientSpanError when fewer than 3 samples are
     available or a spectrum-seeded candidate exceeds half the sampled
-    span.
+    span; the error's candidate is that period, None for too few samples.
     """
     m = len(traj.times)
     if m < 3:
@@ -416,7 +416,8 @@ def detect_period(traj: Trajectory, *, eigenvalues=None) -> float | None:
         if t_seed is not None:
             if t_seed > span / 2.0:
                 raise InsufficientSpanError(
-                    f"candidate period {t_seed:.6g} exceeds half the sampled span {span:.6g}"
+                    f"candidate period {t_seed:.6g} exceeds half the sampled span {span:.6g}",
+                    candidate=t_seed,
                 )
             candidates.append(t_seed / dt)
     if not candidates:

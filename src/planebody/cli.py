@@ -257,7 +257,7 @@ def _detect_on_trajectory(sc: Scenario, w: np.ndarray, traj: Trajectory | None):
         except ValueError as exc:  # sample times that round to uneven steps
             return f"unavailable ({exc})"
         except InsufficientSpanError as exc:
-            if len(traj) < 3:  # too few samples for any candidate
+            if exc.candidate is None:
                 return f"unavailable ({exc})"
             return "unavailable (time span shorter than twice the candidate period)"
     except PlanebodyError as exc:

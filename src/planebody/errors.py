@@ -83,9 +83,17 @@ class GridMismatchError(PlanebodyError):
 
 
 class InsufficientSpanError(PlanebodyError):
-    """Trajectory too short to confirm or reject a candidate period."""
+    """Trajectory too short to confirm or reject a candidate period.
+
+    candidate is the period that exceeds half the sampled span, or None
+    when the grid has too few samples for any candidate.
+    """
 
     code = "InsufficientSpan"
+
+    def __init__(self, message: str, candidate: float | None = None):
+        super().__init__(message)
+        self.candidate = candidate
 
 
 class ScenarioError(Exception):

@@ -36,7 +36,7 @@ PairState holds that layout, with its two families as views, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,7 +213,8 @@ class PairState:
     """The plane state of the 2n particles of a pair system: (2n, 2)
     positions and velocities, the plus family before the minus family.
 
-    plus and minus are read-only PlaneState views of the two halves.  The
+    plus and minus are read-only PlaneState views of the two halves, plain
+    attributes set with the arrays, not dataclass fields.  The
     constructor takes the two families, copies them into the stacked
     arrays and rejects an exact plus/minus coincidence (`__post_init__`).
     `_checked` wraps stacked (2n, 2) float64 arrays with no copy and no
@@ -226,8 +227,6 @@ class PairState:
 
     positions: np.ndarray
     velocities: np.ndarray
-    plus: PlaneState = field(repr=False, compare=False)  # views of the halves
-    minus: PlaneState = field(repr=False, compare=False)
 
     def __init__(self, plus: PlaneState, minus: PlaneState):
         if not isinstance(plus, PlaneState) or not isinstance(minus, PlaneState):

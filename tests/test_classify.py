@@ -210,6 +210,15 @@ def test_detect_period_span_too_short_for_candidate():
         detect_period(traj, eigenvalues=[1j])
 
 
+def test_insufficient_span_names_the_candidate_only_when_one_exists():
+    with pytest.raises(InsufficientSpanError) as seeded:
+        detect_period(_circle_trajectory(t_end=3.0, m=61), eigenvalues=[1j])
+    assert seeded.value.candidate == pytest.approx(2 * np.pi)
+    with pytest.raises(InsufficientSpanError) as short:
+        detect_period(_circle_trajectory(t_end=3.0, m=2), eigenvalues=[1j])
+    assert short.value.candidate is None
+
+
 def test_detect_period_nonuniform_grid():
     times = np.array([0.0, 0.1, 0.3, 0.4])
     pos = np.zeros((4, 1, 2))

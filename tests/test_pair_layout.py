@@ -1,4 +1,6 @@
 """A pair state is the plane state of its 2n particles, plus family first."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,10 @@ def test_a_pair_sample_shares_memory_with_its_trajectory(route):
         assert np.shares_memory(st.minus.velocities, traj.velocities)
         assert np.array_equal(st.positions, traj.positions[i])
         assert np.array_equal(st.minus.velocities, traj.velocities[i, n:])
+
+
+def test_pair_state_fields_are_the_stacked_arrays():
+    _, _, s = _pair(np.random.default_rng(11), 2)
+    assert [f.name for f in dataclasses.fields(s)] == ["positions", "velocities"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.plus = s.minus

@@ -25,7 +25,6 @@ laws run once per evaluation; a cut run lists as ``capped``.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -42,6 +41,9 @@ import numpy as np
 import planebody.cli as cli
 import planebody.model as model
 
+SEED = 2025  # of the scenario draw
+COUNT = 480  # seeded scenarios, before the reproducer
+CAP = 20000  # force evaluations per run
 COMMANDS = ("solve", "integrate", "compare", "classify")
 VARIANTS = ("base", "generalized", "pair")
 FEATURES = ("plain", "negzero", "coincident", "near", "strong", "reversed", "offset", "large-t")
@@ -141,14 +143,14 @@ def scenario(k: int, rng) -> dict:
     return data
 
 
-def run(command: str, data: dict, cap: int) -> str:
+def run(command: str, data: dict) -> str:
     """Run one command on the scenario data; its listing after the name."""
     calls = [0]
     guard = model.check_origin_guard
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        if calls[0] > cap:
+        if calls[0] > CAP:
             raise Capped
         return guard(*args, **kwargs)
 
@@ -166,7 +168,7 @@ def run(command: str, data: dict, cap: int) -> str:
                 try:
                     status = f"exit={cli.main([command, '--scenario', path, '--out-dir', out_dir])}"
                 except Capped:
-                    status = f"capped at {cap} force evaluations"
+                    status = f"capped at {CAP} force evaluations"
                 except Exception as exc:  # a traceback the CLI would have printed
                     frame = traceback.extract_tb(exc.__traceback__)[-1]
                     status = f"traceback {type(exc).__name__} at {os.path.basename(frame.filename)}"
@@ -187,18 +189,13 @@ def run(command: str, data: dict, cap: int) -> str:
     return " ".join(fields)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--seed", type=int, default=2025, help="scenario seed")
-    parser.add_argument("--count", type=int, default=480, help="number of seeded scenarios")
-    parser.add_argument("--cap", type=int, default=20000, help="force evaluations per run")
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
-    cases = [scenario(k, rng) for k in range(args.count)] + [REPRODUCER]
+def main() -> int:
+    rng = np.random.default_rng(SEED)
+    cases = [scenario(k, rng) for k in range(COUNT)] + [REPRODUCER]
     for data in cases:
         label = f"{data['name']} n={len(data['beta'])}"
         for command in COMMANDS:
-            print(f"{label} {command}: {run(command, data, args.cap)}", flush=True)
+            print(f"{label} {command}: {run(command, data)}", flush=True)
     return 0
 
 
