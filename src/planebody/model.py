@@ -418,13 +418,14 @@ class _PlaneForce:
     """The base or generalized law, bound to an integrator run's rows.
 
     `integrate` calls bind(rows, acc) once per run, with the run's
-    (7, 4p) stage-input rows of p particles (every position, then every
-    velocity, as (x, y) pairs) and the (7, 2p) acceleration halves of its
-    derivative rows.  bind forms the complex views of every row once and
-    returns stage(i, t), which runs the law on rows[i] and writes into
-    acc[i] in place: no view, reshape or state object per stage.  The
-    bound views live in the returned closure, not on the instance, so one
-    instance serves consecutive and nested runs.  The arithmetic is that
+    (s, 4p) stage-input rows of p particles, one per stage of its method
+    (every position, then every velocity, as (x, y) pairs), and the
+    (s, 2p) acceleration halves of its derivative rows.  bind forms the
+    complex views of every row once and returns stage(i, t), which runs
+    the law on rows[i] and writes into acc[i] in place: no view, reshape
+    or state object per stage.  The bound views live in the returned
+    closure, not on the instance, so one instance serves consecutive and
+    nested runs.  The arithmetic is that
     of rhs_base and rhs_generalized, so both routes give identical
     numbers.
     """

@@ -11,7 +11,9 @@ Schema (keys at the top level):
     initial             per-particle rows [x, y, vx, vy]; n rows, or 2n rows
                         for the pair variant (plus family first)
     integrator          optional {"rtol", "atol", "h_init", "h_min",
-                        "t_span": [t0, t1], "samples", "h_max"}
+                        "t_span": [t0, t1], "samples", "h_max",
+                        "method": "dopri5" | "dop853"}; method
+                        defaults to "dopri5"
     outputs             optional list drawn from ["trajectory", "comparison",
                         "classification"]; validated, read by no subcommand
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .integrate import IntegratorConfig
+from .integrate import METHODS, IntegratorConfig
 from .model import (
     CouplingSpec,
     GeneralizedParams,
@@ -93,6 +95,12 @@ def _integrator(data) -> IntegratorConfig:
         for key in ("rtol", "atol", "h_init", "h_min", "h_max", "t_span")
         if key in data
     }
+    if "method" in data:
+        if data["method"] not in METHODS:
+            raise ValidationError(
+                "integrator.method", f"must be one of {list(METHODS)}, got {data['method']!r}"
+            )
+        kwargs["method"] = data["method"]
     if "samples" in data:
         samples = data["samples"]
         if isinstance(samples, bool) or not isinstance(samples, int):
@@ -195,7 +203,7 @@ def builtin_scenarios() -> dict[str, dict]:
             "beta": [[0.0]],
             "gamma": [[0.0]],
             "initial": [[1.0, 0.0, 0.0, 1.0]],
-            "integrator": {"t_span": [0.0, TWO_PI], "samples": 201},
+            "integrator": {"t_span": [0.0, TWO_PI], "samples": 201, "method": "dop853"},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "damped": {
@@ -208,7 +216,7 @@ def builtin_scenarios() -> dict[str, dict]:
                 [0.0, 1.2, -0.3, 0.0],
                 [-0.8, 0.5, 0.1, -0.2],
             ],
-            "integrator": {"t_span": [0.0, 20.0], "samples": 401},
+            "integrator": {"t_span": [0.0, 20.0], "samples": 401, "method": "dop853"},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "periodic-2-3": {
@@ -217,7 +225,7 @@ def builtin_scenarios() -> dict[str, dict]:
             "beta": [[0.0, 0.0], [0.0, 0.0]],
             "gamma": [[2.0, 0.0], [0.0, 3.0]],
             "initial": [[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, -0.4, 0.0]],
-            "integrator": {"t_span": [0.0, 14.0], "samples": 281},
+            "integrator": {"t_span": [0.0, 14.0], "samples": 281, "method": "dop853"},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "similarity": {
@@ -227,7 +235,7 @@ def builtin_scenarios() -> dict[str, dict]:
             "gamma": [[0.0, 0.0], [0.0, 0.0]],
             # velocities chosen so v_j = 0.3 r_j + 0.7 perp(r_j)
             "initial": [[1.0, 0.0, 0.3, 0.7], [0.0, 1.0, -0.7, 0.3]],
-            "integrator": {"t_span": [0.0, 2.0], "samples": 201},
+            "integrator": {"t_span": [0.0, 2.0], "samples": 201, "method": "dop853"},
             "outputs": ["trajectory", "comparison", "classification"],
         },
         "pair": {
@@ -242,7 +250,7 @@ def builtin_scenarios() -> dict[str, dict]:
                 [-0.5, 0.1, 0.0, -0.2],
                 [0.3, -0.8, 0.2, 0.0],
             ],
-            "integrator": {"t_span": [0.0, 1.0], "samples": 201},
+            "integrator": {"t_span": [0.0, 1.0], "samples": 201, "method": "dop853"},
             "outputs": ["trajectory", "comparison", "classification"],
         },
     }
