@@ -34,11 +34,9 @@ from .errors import (
     ValidationError,
 )
 from .exact import (
-    CenterSolution,
     PairSolution,
     SimilaritySpec,
     SpectralSolution,
-    eval_center,
     eval_f,
     eval_generalized,
     eval_pair,
@@ -50,7 +48,6 @@ from .exact import (
     row_sums_zero,
     similarity_trajectory,
     spectral_solve,
-    tau_map,
 )
 from .integrate import (
     ComparisonReport,
@@ -59,7 +56,6 @@ from .integrate import (
     compare,
     integrate,
     trajectory_from_states,
-    with_samples,
 )
 from .linalg import EigenDecomposition, eig, eigenvalues, solve_linear
 from .model import (
@@ -71,7 +67,6 @@ from .model import (
     PlaneState,
     alpha_matrix,
     from_complex,
-    perp,
     rhs_base,
     rhs_complex,
     rhs_generalized,
@@ -79,13 +74,11 @@ from .model import (
     to_complex,
     zero_couplings,
 )
-from .scenario import Scenario, builtin_scenarios, parse_scenario, scenario_from_dict
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlowupError",
-    "CenterSolution",
     "ComparisonReport",
     "ComplexState",
     "ConvergenceError",
@@ -106,7 +99,6 @@ __all__ = [
     "ParseError",
     "PlanebodyError",
     "PlaneState",
-    "Scenario",
     "ScenarioError",
     "SimilaritySpec",
     "SingularMatrixError",
@@ -115,14 +107,12 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "alpha_matrix",
-    "builtin_scenarios",
     "classify",
     "classify_couplings",
     "compare",
     "detect_period",
     "eig",
     "eigenvalues",
-    "eval_center",
     "eval_f",
     "eval_generalized",
     "eval_pair",
@@ -132,8 +122,6 @@ __all__ = [
     "from_complex",
     "integrate",
     "pair_solve",
-    "parse_scenario",
-    "perp",
     "phi1",
     "rational_period",
     "rhs_base",
@@ -141,13 +129,10 @@ __all__ = [
     "rhs_generalized",
     "rhs_pair",
     "row_sums_zero",
-    "scenario_from_dict",
     "similarity_trajectory",
     "solve_linear",
     "spectral_solve",
-    "tau_map",
     "to_complex",
     "trajectory_from_states",
-    "with_samples",
     "zero_couplings",
 ]

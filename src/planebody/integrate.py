@@ -335,7 +335,7 @@ class Trajectory(Sequence):
         d = np.diff(times)
         if len(d) and not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("times must be strictly monotone")
-        if pos.shape != (len(times), pos.shape[1], 2) or vel.shape != pos.shape:
+        if pos.ndim != 3 or pos.shape != (len(times), pos.shape[1], 2) or vel.shape != pos.shape:
             raise ValueError("positions and velocities must both have shape (m, p, 2)")
         for a in (times, pos, vel):
             a.setflags(write=False)
@@ -426,7 +426,8 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
     Returns
     -------
     Trajectory sampled at sample_count equally spaced times, endpoints
-    included; metadata carries the method, step statistics and tolerances.
+    included; metadata holds "method" (cfg.method) and "stats" (the
+    accepted and rejected step counts and the force evaluations).
     """
     pair = isinstance(s0, PairState)
     if isinstance(rhs, _PlaneForce):  # or its pair law, _PairForce
@@ -617,10 +618,7 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
         velocities=out[:, half:].reshape(m, -1, 2),
         pair=pair,
         metadata={
-            "variant": "pair" if pair else "plane",
             "method": cfg.method,
-            "rtol": cfg.rtol,
-            "atol": cfg.atol,
             "stats": {"accepted": naccept, "rejected": nreject, "rhs_evaluations": nfev},
         },
     )
@@ -748,7 +746,3 @@ def compare(reference: Trajectory, other: Trajectory) -> ComparisonReport:
         velocity_rel=vr,
         velocity_time=vt,
     )
-
-
-def with_samples(cfg: IntegratorConfig, sample_count: int) -> IntegratorConfig:
-    return replace(cfg, sample_count=sample_count)

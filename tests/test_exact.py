@@ -15,7 +15,6 @@ from planebody import (
     PairState,
     PlaneState,
     SimilaritySpec,
-    eval_center,
     eval_f,
     eval_generalized,
     eval_pair,
@@ -29,7 +28,6 @@ from planebody import (
     row_sums_zero,
     similarity_trajectory,
     spectral_solve,
-    tau_map,
     to_complex,
     trajectory_from_states,
     zero_couplings,
@@ -43,6 +41,8 @@ from planebody.exact import (
     _raise_failure,
     _reduced_phase,
     _time_substitution,
+    eval_center,
+    tau_map,
 )
 from planebody.model import ComplexState, alpha_matrix
 

@@ -29,7 +29,6 @@ from planebody import (
     spectral_solve,
     to_complex,
     trajectory_from_states,
-    with_samples,
     zero_couplings,
 )
 from planebody.model import _PairForce, _PlaneForce
@@ -57,7 +56,6 @@ def test_config_validation():
     cfg = IntegratorConfig(t_span=(0.0, 2.0), sample_count=5)
     assert cfg.effective_h_max() == 2.0
     assert IntegratorConfig(h_max=0.125).effective_h_max() == 0.125
-    assert with_samples(cfg, 9).sample_count == 9
 
 
 def test_trajectory_validation():
@@ -72,6 +70,24 @@ def test_trajectory_validation():
     assert traj.n_particles == 2
     s = traj.state_at(1)
     assert isinstance(s, PlaneState)
+
+
+@pytest.mark.parametrize(
+    "pos, vel",
+    [
+        pytest.param(np.zeros(2), np.zeros(2), id="1-d"),
+        pytest.param(np.float64(0.0), np.float64(0.0), id="0-d"),
+        pytest.param(np.zeros(2), np.zeros((2, 1, 2)), id="1-d-positions"),
+    ],
+)
+def test_trajectory_rejects_arrays_that_are_not_3d(pos, vel):
+    with pytest.raises(ValueError, match=r"must both have shape \(m, p, 2\)"):
+        Trajectory(times=[0.0, 1.0], positions=pos, velocities=vel)
+
+
+def test_trajectory_from_no_states_is_a_shape_error():
+    with pytest.raises(ValueError, match=r"must both have shape \(m, p, 2\)"):
+        trajectory_from_states([0.0, 1.0], [])
 
 
 def test_circle_accuracy():

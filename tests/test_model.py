@@ -15,7 +15,6 @@ from planebody import (
     PlaneState,
     alpha_matrix,
     from_complex,
-    perp,
     rhs_base,
     rhs_complex,
     rhs_generalized,
@@ -24,7 +23,7 @@ from planebody import (
     zero_couplings,
 )
 from planebody.linalg import MAX_DIMENSION
-from planebody.model import ORIGIN_GUARD_RATIO, _accelerations, check_origin_guard
+from planebody.model import ORIGIN_GUARD_RATIO, _accelerations, check_origin_guard, perp
 
 from _util import random_couplings, random_state
 

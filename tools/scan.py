@@ -22,9 +22,18 @@ scenario of ROADMAP.md whose integration does not end.  Runs that do not
 end (the n = 1 blow-ups and that pair family) are cut by a cap on force
 evaluations, counted through the origin guard that the built-in force
 laws run once per evaluation; a cut run lists as ``capped``.
+
+The listing ends with the route ledger, lines that start ``ledger:``.
+It counts the scenarios on which ``solve`` and ``integrate`` end
+differently, by pair of outcomes (the ``ERROR`` code, ``success`` or
+``capped``), and those on which they end with the same code at
+different times.  It also gives the runs and force evaluations of each
+``integrate`` outcome, so a change shows what it does to the agreement
+of the two routes and to the work spent in runs that fail.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -35,6 +44,7 @@ import sys
 import tempfile
 import traceback
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +153,15 @@ def scenario(k: int, rng) -> dict:
     return data
 
 
-def run(command: str, data: dict) -> str:
-    """Run one command on the scenario data; its listing after the name."""
+class Run(NamedTuple):
+    listing: str  # after the scenario name
+    outcome: str  # the ERROR code, "success", "capped", or the status
+    time: str  # the time the error reports, "-" for none
+    evaluations: int  # force evaluations, counted through the guard
+
+
+def run(command: str, data: dict) -> Run:
+    """Run one command on the scenario data."""
     calls = [0]
     guard = model.check_origin_guard
 
@@ -167,35 +184,68 @@ def run(command: str, data: dict) -> str:
                 warnings.simplefilter("always")
                 try:
                     status = f"exit={cli.main([command, '--scenario', path, '--out-dir', out_dir])}"
+                    outcome = "success" if status == "exit=0" else status
                 except Capped:
-                    status = f"capped at {CAP} force evaluations"
+                    status, outcome = f"capped at {CAP} force evaluations", "capped"
                 except Exception as exc:  # a traceback the CLI would have printed
                     frame = traceback.extract_tb(exc.__traceback__)[-1]
                     status = f"traceback {type(exc).__name__} at {os.path.basename(frame.filename)}"
+                    outcome = status
         finally:
             model.check_origin_guard = guard
-        fields = [status]
+        fields, time = [status], "-"
         lines = err.getvalue().splitlines()
         if lines and lines[0].startswith("ERROR "):
-            code = lines[0][len("ERROR "):].partition(":")[0]
+            outcome = lines[0][len("ERROR "):].partition(":")[0]
             found = _TIME.search(lines[0])
-            fields.append(f"{code}@{found.group(1) if found else '-'}")
+            time = found.group(1) if found else "-"
+            fields.append(f"{outcome}@{time}")
         if len(lines) > 1 or caught:
             fields.append(f"stderr_lines={len(lines)} warnings={len(caught)}")
         if os.path.isdir(out_dir):
             for name in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     fields.append(f"{name}={hashlib.sha256(fh.read()).hexdigest()[:16]}")
-    return " ".join(fields)
+    return Run(" ".join(fields), outcome, time, calls[0])
+
+
+def ledger(solves: list[Run], integrations: list[Run]) -> list[str]:
+    """The route ledger: how often solve and integrate end differently on
+    one scenario, by (solve, integrate) outcome, how often they end with
+    the same code at different times, and the runs and force evaluations
+    per integrate outcome (a capped run counts the evaluation the cap
+    stopped)."""
+    pairs = collections.Counter(
+        (s.outcome, i.outcome) for s, i in zip(solves, integrations) if s.outcome != i.outcome
+    )
+    retimed = sum(s.outcome == i.outcome and s.time != i.time for s, i in zip(solves, integrations))
+    runs = collections.Counter(i.outcome for i in integrations)
+    evaluations = collections.Counter()
+    for i in integrations:
+        evaluations[i.outcome] += i.evaluations
+    lines = [f"ledger: solve and integrate end differently on {sum(pairs.values())} "
+             f"of {len(solves)} scenarios"]
+    for (solve, integrate), count in pairs.most_common():
+        lines.append(f"ledger: solve {solve} / integrate {integrate}: {count}")
+    lines.append(f"ledger: same code at different times: {retimed}")
+    for outcome, count in runs.most_common():
+        lines.append(f"ledger: integrate {outcome}: {count} runs, "
+                     f"{evaluations[outcome]} force evaluations")
+    return lines
 
 
 def main() -> int:
     rng = np.random.default_rng(SEED)
     cases = [scenario(k, rng) for k in range(COUNT)] + [REPRODUCER]
+    results = {command: [] for command in COMMANDS}
     for data in cases:
         label = f"{data['name']} n={len(data['beta'])}"
         for command in COMMANDS:
-            print(f"{label} {command}: {run(command, data)}", flush=True)
+            result = run(command, data)
+            results[command].append(result)
+            print(f"{label} {command}: {result.listing}", flush=True)
+    for line in ledger(results["solve"], results["integrate"]):
+        print(line)
     return 0
 
 
