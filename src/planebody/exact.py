@@ -184,7 +184,10 @@ def spectral_solve(c: CouplingSpec, initial: ComplexState, t0: float = 0.0) -> S
     span of its eigenvectors (e.g. similarity initial data on a
     rank-deficient matrix); anything else raises DefectiveMatrixError.
     The initial data hold at t0; initial log-derivatives that overflow
-    raise BlowupError at t0.
+    raise BlowupError at t0.  For the generalized model, whose couplings
+    rotate as alpha e^{mu t}, c must hold the couplings at t0,
+    alpha e^{mu t0} (mu = lam + i omega): the solution reads its
+    couplings as those at t0 and rotates them by e^{mu (t - t0)}.
     """
     if c.n != initial.n:
         raise ValueError(f"coupling size {c.n} does not match state size {initial.n}")
@@ -339,9 +342,11 @@ def _generalized_grid(sol: SpectralSolution, g: GeneralizedParams | None, t: np.
 
 
 def eval_generalized(sol: SpectralSolution, g: GeneralizedParams, t: float) -> ComplexState:
-    """State of the generalized model: base solution at tau(t), with the
-    velocity picking up the chain-rule factor dtau/dt = exp((lam+i omega) t).
-    A blow-up reports the physical time t, not tau(t)."""
+    """State of the generalized model: base solution at tau(t - t0), with
+    the velocity picking up the chain-rule factor
+    dtau/dt = exp((lam + i omega) (t - t0)), t0 = sol.t0.  sol holds the
+    couplings at t0 (see spectral_solve).  A blow-up reports the
+    physical time t, not tau."""
     z, zdot = _generalized_grid(sol, g, np.array([t]))
     return ComplexState(z[:, 0], zdot[:, 0])
 
@@ -485,7 +490,8 @@ def row_sums_zero(c: CouplingSpec) -> bool:
 def exact_states(sol: SpectralSolution, times, g: GeneralizedParams | None = None) -> Trajectory:
     """Real-coordinate states over a strictly monotone grid of times
     (base or generalized model), evaluated at the times since sol.t0,
-    as the Trajectory of those times.
+    as the Trajectory of those times.  For the generalized model sol
+    holds the couplings at sol.t0 (see spectral_solve).
 
     The whole grid is evaluated as one (n, m) array expression; a
     blow-up anywhere on it raises for the first failing sample.  Having

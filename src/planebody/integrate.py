@@ -30,9 +30,10 @@ stage, the interpolant's stages included: the built-in force laws run
 it in their kernel, and a user's rhs is called only after it has run on
 the positions, or on the plus/minus differences of a pair state.  A
 tripped stage halves the step like a non-finite one, except at the
-initial state, where a guard trip is an OriginCollision and a
-non-finite derivative an Overflow.  An accepted step needs no check of
-its own: its solution is the input of its last stage.
+initial state, where a guard trip is an OriginState, as the closed
+form reports the same state, and a non-finite derivative an Overflow.
+An accepted step needs no check of its own: its solution is the input
+of its last stage.
 
 The state is packed into one float64 stage row: every position, then
 every velocity, as (x, y) pairs.  A PairState already is the plane
@@ -626,13 +627,13 @@ def integrate(rhs, s0, cfg: IntegratorConfig) -> Trajectory:
 
 def _first_derivative(deriv, t0):
     """The derivative at the initial state, row 0: a guard trip there is
-    an OriginCollision, a non-finite derivative (the initial data
-    overflow the force law) an Overflow, both at t0."""
+    an OriginState, as on the closed-form route, a non-finite derivative
+    (the initial data overflow the force law) an Overflow, both at t0."""
     try:
         deriv(0, t0)
     except _GuardTrip as trip:
         if isinstance(trip.cause, (OriginError, PairCollisionError)):
-            raise OriginCollisionError(
+            raise OriginError(
                 f"initial state is inside the singularity guard ({trip.cause})", time=t0
             ) from trip.cause
         raise BlowupError(

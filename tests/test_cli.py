@@ -617,6 +617,29 @@ def test_overflowing_initial_log_derivative_exits_1_with_one_overflow_line(tmp_p
     assert _one_error_line(capsys, [command, "--scenario", path, "--out-dir", str(tmp_path)], "Overflow") == 1
 
 
+def _guarded_start(variant):
+    """A scenario of the variant with one initial particle inside the
+    origin guard: at 1e-14 beside one at radius 1, or, for a pair, a
+    minus particle 1e-13 from its plus partner."""
+    if variant == "pair":
+        data = dict(builtin_scenarios()["pair"], name="guarded-pair")
+        data["initial"][2][:2] = [1.0 + 1e-13, 0.0]  # plus particle 1 is at (1, 0)
+        return data
+    data = _basic_scenario(f"guarded-{variant}")
+    data.update(variant=variant, initial=[[1e-14, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+    if variant == "generalized":
+        data["generalized_params"] = {"lambda": 0.1, "omega": 0.8}
+    return data
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("command", ["solve", "integrate", "compare"])
+@pytest.mark.parametrize("variant", ["base", "generalized", "pair"])
+def test_initial_state_inside_the_guard_is_an_origin_state_on_both_routes(tmp_path, capsys, variant, command):
+    path = _write_scenario(tmp_path, _guarded_start(variant))
+    assert _one_error_line(capsys, [command, "--scenario", path, "--out-dir", str(tmp_path)], "OriginState") == 1
+
+
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_huge_opposite_families_fail_alike_on_both_routes(tmp_path, capsys):
     data = _basic_scenario("huge-pair")
@@ -961,7 +984,8 @@ def test_pair_spectrum_with_two_infinite_eigenvalues_is_ordered_without_warning(
 
 
 def _offset_scenarios():
-    """Scenarios whose t_span does not start at 0, one per variant."""
+    """Scenarios whose t_span does not start at 0: one per variant, and
+    the built-in circle, which steps with DOP853."""
     base = _basic_scenario("base-offset")
     base.update(beta=[[0.0]], gamma=[[0.0]], initial=[[1.0, 0.0, 0.0, 1.0]])
     base["integrator"] = {"t_span": [5.0, 21.0], "samples": 17}
@@ -976,7 +1000,9 @@ def _offset_scenarios():
     generalized["integrator"] = {"t_span": [1.5, 5.5], "samples": 41}
     pair = dict(builtin_scenarios()["pair"], name="pair-offset")
     pair["integrator"] = {"t_span": [-3.0, 1.0], "samples": 81}
-    return [base, generalized, pair]
+    circle = dict(builtin_scenarios()["circle"], name="circle-offset")
+    circle["integrator"] = dict(circle["integrator"], t_span=[5.0, 5.0 + 2.0 * math.pi])
+    return [base, generalized, pair, circle]
 
 
 @pytest.mark.parametrize("data", _offset_scenarios(), ids=lambda d: d["name"])

@@ -10,6 +10,7 @@ from planebody import (
     CouplingSpec,
     DefectiveMatrixError,
     GeneralizedParams,
+    IntegratorConfig,
     OriginError,
     PairSpec,
     PairState,
@@ -21,9 +22,11 @@ from planebody import (
     eval_pair_solution,
     eval_z,
     exact_states,
+    integrate,
     pair_solve,
     phi1,
     rhs_complex,
+    rhs_generalized,
     rhs_pair,
     row_sums_zero,
     similarity_trajectory,
@@ -875,3 +878,21 @@ def test_a_failure_at_t0_plus_s_reports_the_time_of_the_failure_at_s(case):
         run(T0, T0 + s)
     assert 0.0 < at0.value.time < s[-1]
     assert at5.value.time == T0 + at0.value.time
+
+
+def test_generalized_closed_form_from_t0_takes_the_couplings_at_t0():
+    # the couplings of the generalized model rotate, alpha e^{mu t}; a
+    # solution that starts at t0 expands its initial data in the ones at
+    # t0, alpha e^{mu t0}, which the caller passes to spectral_solve
+    rng = np.random.default_rng(7)
+    c, s0 = random_couplings(rng, 2), random_state(rng, 2)
+    g, t0 = GeneralizedParams(lam=0.1, omega=0.8), 2.0
+    cfg = IntegratorConfig(t_span=(t0, 5.0), sample_count=31, rtol=1e-11, atol=1e-12)
+    numeric = integrate(lambda t, s: rhs_generalized(c, g, t, s), s0, cfg)
+    at_t0 = alpha_matrix(c) * np.exp(complex(g.lam, g.omega) * t0)
+    sol = spectral_solve(CouplingSpec(at_t0.real, at_t0.imag), to_complex(s0), t0)
+    exact = exact_states(sol, numeric.times, g)
+    assert np.max(np.abs(exact.positions - numeric.positions)) < 1e-9
+    assert np.max(np.abs(exact.velocities - numeric.velocities)) < 1e-9
+    end = eval_generalized(sol, g, 5.0)
+    assert np.max(np.abs(end.z - numeric.positions[-1] @ [1.0, 1.0j])) < 1e-9

@@ -192,7 +192,7 @@ def test_initial_state_inside_guard():
     c = zero_couplings(2)
     s0 = PlaneState([[1e-14, 0.0], [1.0, 0.0]], np.zeros((2, 2)))
     cfg = IntegratorConfig(t_span=(0.0, 1.0), sample_count=3)
-    with pytest.raises(OriginCollisionError):
+    with pytest.raises(OriginError):
         integrate(lambda t, s: rhs_base(c, s), s0, cfg)
 
 
@@ -368,7 +368,7 @@ def test_unguarded_custom_law_trips_the_guard_at_the_crossing(pair):
 def test_custom_law_on_a_guarded_initial_state():
     s0 = PlaneState([[1e-14, 0.0], [1.0, 0.0]], np.zeros((2, 2)))
     cfg = IntegratorConfig(t_span=(0.5, 1.0), sample_count=3)
-    with pytest.raises(OriginCollisionError, match="initial state is inside the singularity guard") as info:
+    with pytest.raises(OriginError, match="initial state is inside the singularity guard") as info:
         integrate(lambda t, s: np.zeros((2, 2)), s0, cfg)
     assert info.value.time == 0.5
 

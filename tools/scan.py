@@ -2,24 +2,32 @@
 
 Builds a deterministic list of scenarios from a seed and runs ``solve``,
 ``integrate``, ``compare`` and ``classify`` on each, in process through
-``planebody.cli.main``.  Prints one line per run: the exit code, the
-``ERROR`` code and the time the error reports, and the sha256 of every
-output file (first 16 hex digits).  Two trees give the same listing
-exactly when every run ends the same way and writes the same bytes, so
-the scan of a change is diffed against the scan of its parent:
+``planebody.cli.main``.  Then it runs the five built-in demos, each as
+``demo NAME`` (the line ``NAME demo:``, five files) and, with its
+integrator method set to ``"dopri5"``, through ``compare`` (``NAME
+dopri5 compare:``, three files): the seeded scenarios step with DOPRI5
+at rtol 1e-6 and 1e-8 only, the demos with DOP853 at 1e-9.  Prints one
+line per run: the exit code, the ``ERROR`` code and the time the error
+reports, and the sha256 of every output file (first 16 hex digits).
+Two trees give the same listing exactly when every run ends the same
+way and writes the same bytes, so the scan of a change is diffed
+against the scan of its parent, and two scans of one tree show that
+its data files are deterministic:
 
     PYTHONPATH=<parent>/src python tools/scan.py > parent.txt
     PYTHONPATH=src python tools/scan.py > head.txt
-    diff parent.txt head.txt
+    PYTHONPATH=src python tools/scan.py > again.txt
+    diff parent.txt head.txt && diff head.txt again.txt
 
-The scan calls the package only through ``cli.main``, so this script can
-scan any tree whose CLI it fits.  The families cover the base,
-generalized and pair variants with n = 1 to 4, in turn with -0.0
-entries, particles at or near the origin (coincident and near-coincident
-pairs for the pair variant), couplings 40 times larger, decreasing
-spans, spans that do not start at 0 and spans at large t, plus the pair
-scenario of ROADMAP.md whose integration does not end.  Runs that do not
-end (the n = 1 blow-ups and that pair family) are cut by a cap on force
+The scan runs the package only through ``cli.main``, and reads the
+demos' data from ``planebody.scenario``, so this script can scan any
+tree whose CLI it fits.  The families cover the base, generalized and
+pair variants with n = 1 to 4, in turn with -0.0 entries, particles at
+or near the origin (coincident and near-coincident pairs for the pair
+variant), couplings 40 times larger, decreasing spans, spans that do
+not start at 0 and spans at large t, plus the pair scenario of
+ROADMAP.md whose integration does not end.  Runs that do not end (the
+n = 1 blow-ups and that pair family) are cut by a cap on force
 evaluations, counted through the origin guard that the built-in force
 laws run once per evaluation; a cut run lists as ``capped``.
 
@@ -50,6 +58,7 @@ import numpy as np
 
 import planebody.cli as cli
 import planebody.model as model
+from planebody.scenario import builtin_scenarios
 
 SEED = 2025  # of the scenario draw
 COUNT = 480  # seeded scenarios, before the reproducer
@@ -161,7 +170,8 @@ class Run(NamedTuple):
 
 
 def run(command: str, data: dict) -> Run:
-    """Run one command on the scenario data."""
+    """Run one command on the scenario data; demo runs the built-in
+    scenario of data's name."""
     calls = [0]
     guard = model.check_origin_guard
 
@@ -176,6 +186,7 @@ def run(command: str, data: dict) -> Run:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
         out_dir = os.path.join(tmp, "out")
+        argv = [command, data["name"]] if command == "demo" else [command, "--scenario", path]
         err = io.StringIO()
         model.check_origin_guard = counting
         try:
@@ -183,7 +194,7 @@ def run(command: str, data: dict) -> Run:
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    status = f"exit={cli.main([command, '--scenario', path, '--out-dir', out_dir])}"
+                    status = f"exit={cli.main(argv + ['--out-dir', out_dir])}"
                     outcome = "success" if status == "exit=0" else status
                 except Capped:
                     status, outcome = f"capped at {CAP} force evaluations", "capped"
@@ -244,6 +255,10 @@ def main() -> int:
             result = run(command, data)
             results[command].append(result)
             print(f"{label} {command}: {result.listing}", flush=True)
+    for name, data in builtin_scenarios().items():
+        print(f"{name} demo: {run('demo', data).listing}", flush=True)
+        data["integrator"]["method"] = "dopri5"
+        print(f"{name} dopri5 compare: {run('compare', data).listing}", flush=True)
     for line in ledger(results["solve"], results["integrate"]):
         print(line)
     return 0
