@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -119,11 +118,12 @@ def classify_couplings(c: CouplingSpec) -> MotionClass:
 
 def rational_period(frequencies) -> float | None:
     """Minimal common period 2*pi/w0 of frequencies that are integer
-    multiples (magnitude <= 64) of a common w0, or None.
+    multiples (at most 64) of a common fundamental w0, or None.
 
-    Ratios are rationalized by continued fractions (best rational
-    approximation with denominator <= 64) and accepted when they match
-    to the relative tolerance FREQUENCY_RTOL.
+    The fundamental is searched among min|w|/q for q = 1..64: the first q
+    at which every |w_k|/w0 rounds to a multiple m_k <= 64 that matches,
+    |m_k w0 - |w_k|| <= FREQUENCY_RTOL |w_k|, gives the period.  The
+    first q gives the largest fundamental, hence the minimal period.
     """
     w = np.abs(np.asarray(frequencies, dtype=np.float64).ravel())
     if w.size == 0:
@@ -132,28 +132,14 @@ def rational_period(frequencies) -> float | None:
         raise ValueError("frequencies must be finite")
     if np.any(w == 0.0):
         raise ValueError("frequencies must be nonzero")
-    w = np.sort(w)
-    base = float(w[0])
-    lcm = 1
-    for wk in w:
-        ratio = float(wk) / base
-        frac = Fraction(ratio).limit_denominator(MAX_FREQUENCY_MULTIPLE)
-        if frac.numerator <= 0 or frac.numerator > MAX_FREQUENCY_MULTIPLE:
-            return None
-        if abs(ratio - float(frac)) > FREQUENCY_RTOL * ratio:
-            return None
-        lcm = lcm * frac.denominator // math.gcd(lcm, frac.denominator)
-    w0 = base / lcm
-    multiples = [round(float(wk) / w0) for wk in w]
-    if any(abs(m * w0 - float(wk)) > FREQUENCY_RTOL * float(wk) for m, wk in zip(multiples, w)):
-        return None
-    g = multiples[0]
-    for m in multiples[1:]:
-        g = math.gcd(g, m)
-    w0 *= g
-    if max(m // g for m in multiples) > MAX_FREQUENCY_MULTIPLE:
-        return None
-    return TWO_PI / w0
+    w = w[:, None]
+    # w0 may round to zero and w / w0 overflow: such a column does not fit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w0 = w.min() / np.arange(1.0, MAX_FREQUENCY_MULTIPLE + 1)
+        m = np.rint(w / w0)
+        fits = (m <= MAX_FREQUENCY_MULTIPLE) & (np.abs(m * w0 - w) <= FREQUENCY_RTOL * w)
+    q = np.flatnonzero(fits.all(axis=0))
+    return TWO_PI / float(w0[q[0]]) if q.size else None
 
 
 def _flatten_states(traj: Trajectory) -> np.ndarray:

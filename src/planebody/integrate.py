@@ -338,6 +338,8 @@ class Trajectory(Sequence):
             raise ValueError("times must be strictly monotone")
         if pos.ndim != 3 or pos.shape != (len(times), pos.shape[1], 2) or vel.shape != pos.shape:
             raise ValueError("positions and velocities must both have shape (m, p, 2)")
+        if self.pair and pos.shape[1] % 2:
+            raise ValueError(f"a pair trajectory stacks 2n particles, got {pos.shape[1]}")
         for a in (times, pos, vel):
             a.setflags(write=False)
         object.__setattr__(self, "times", times)

@@ -141,6 +141,34 @@ def test_rational_period_near_rational():
     assert rational_period([2.0, 3.0 + 2e-3]) is None
 
 
+@pytest.mark.parametrize("w", [[1e-200, 1e200], [5e-324, 1.0]], ids=["ratio-overflows", "subnormal"])
+def test_rational_period_of_a_ratio_past_the_float_range_is_none(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rational_period(w) is None
+
+
+def _multiples(rng, kmax):
+    """2..8 integer multiples with largest kmax and gcd 1 (kmax - 1 is
+    among them), in random order and sign."""
+    k = rng.integers(1, kmax + 1, size=int(rng.integers(2, 9)))
+    k[:2] = kmax, kmax - 1
+    return rng.permutation(k) * rng.choice([-1.0, 1.0], size=k.size)
+
+
+def test_rational_period_property_on_seeded_multiples():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        w0 = 10.0 ** rng.uniform(-3.0, 3.0)
+        k = _multiples(rng, int(rng.integers(2, 65)))
+        assert rational_period(w0 * k) == pytest.approx(TWO_PI / w0, rel=1e-12)
+        w = w0 * k
+        i = rng.integers(k.size)
+        w[i] *= 1.0 + rng.choice([-1e-7, 1e-7])
+        assert rational_period(w) is None
+        assert rational_period(w0 * _multiples(rng, int(rng.integers(65, 81)))) is None
+
+
 def _circle_trajectory(t_end=4.0 * TWO_PI, m=321):
     c = CouplingSpec(beta=np.zeros((1, 1)), gamma=np.array([[1.0]]))
     s0 = PlaneState([[1.0, 0.0]], [[0.0, 1.0]])

@@ -90,6 +90,17 @@ def test_trajectory_from_no_states_is_a_shape_error():
         trajectory_from_states([0.0, 1.0], [])
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_pair_trajectory_of_an_odd_particle_count_is_rejected(rows):
+    # equal rows would otherwise read as an exact plus/minus coincidence
+    p = np.ones((2, rows, 2))
+    with pytest.raises(ValueError, match="a pair trajectory stacks 2n particles"):
+        Trajectory([0.0, 1.0], p, p + 1.0, pair=True)
+    states = [PlaneState(p[0], p[0]), PlaneState(p[1], p[1])]
+    with pytest.raises(ValueError, match="a pair trajectory stacks 2n particles"):
+        trajectory_from_states([0.0, 1.0], states, pair=True)
+
+
 def test_circle_accuracy():
     c, s0 = circle_setup()
     cfg = IntegratorConfig(t_span=(0.0, 2.0 * math.pi), sample_count=201)
