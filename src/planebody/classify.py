@@ -68,32 +68,28 @@ class MotionClass:
             raise ValueError("all_damped and has_unstable are mutually exclusive")
 
 
-def _spectral_masks(w: np.ndarray, tol: float | None = None):
+def _spectral_masks(w: np.ndarray):
     """classify's tolerance for spectrum w, which may be empty, with the
     zero and purely imaginary masks it gives; an eigenvalue with an
     infinite part is in neither mask."""
     mag = np.abs(w)
-    if tol is None:
-        big = float(mag.max(initial=0.0))
-        if not math.isfinite(big):
-            big = float(mag.max(initial=0.0, where=np.isfinite(mag)))
-        tol = max(1e-9 * big, 1e-12)
+    tol = max(1e-9 * float(mag.max(initial=0.0, where=np.isfinite(mag))), 1e-12)
     zero = mag <= tol
     return tol, zero, (np.abs(w.real) <= tol) & ~zero & np.isfinite(mag)
 
 
-def classify(eigenvalues, tol: float | None = None) -> MotionClass:
+def classify(eigenvalues) -> MotionClass:
     """Classify a coupling spectrum.
 
-    tol separates "zero" (|a| <= tol) from "purely imaginary"
-    (|Re a| <= tol < |a|); it defaults to 1e-9 * max|a_k| over the
-    finite eigenvalues, with an absolute floor of 1e-12: an eigenvalue
-    past the float64 range has an infinite part and sets no scale.
+    A tolerance tol separates "zero" (|a| <= tol) from "purely imaginary"
+    (|Re a| <= tol < |a|): 1e-9 * max|a_k| over the finite eigenvalues,
+    with an absolute floor of 1e-12; an eigenvalue past the float64
+    range has an infinite part and sets no scale.
     """
     w = np.asarray(eigenvalues, dtype=np.complex128).ravel()
     if w.size == 0:
         raise ValueError("need at least one eigenvalue")
-    tol, zero, imag = _spectral_masks(w, tol)
+    tol, zero, imag = _spectral_masks(w)
     damped = w.real < -tol
     unstable = w.real > tol
     all_imaginary = bool(np.all(imag))

@@ -228,16 +228,12 @@ def eval_z(sol: SpectralSolution, t) -> ComplexState:
 def _eval_grid(sol: SpectralSolution, s: np.ndarray, t: np.ndarray, dsdt=None):
     """z and z' as (n, m) arrays at the (possibly substituted) times s.
 
-    t holds the physical times that a blow-up reports, and dsdt, when
+    t holds the physical times that a failure reports, and dsdt, when
     given, the chain-rule factor ds/dt of the velocity.  Every sample is
-    checked, and the error is the one of the first failing sample: an
-    exponent outside [-700, 700] or not finite, a z or z' that overflows
-    (BlowupError), or a z that underflows to the origin (OriginError).
+    checked by the closed form's rules (_check_grid).
     """
     exponent, z, zdot = _grid_values(sol, s, dsdt)
-    k = _first_failure(exponent, z, zdot)
-    if k < z.shape[1]:
-        _raise_failure(k, exponent, z, zdot, t)
+    _check_grid(exponent, z, zdot, t)
     return z, zdot
 
 
@@ -253,42 +249,53 @@ def _grid_values(sol: SpectralSolution, s: np.ndarray, dsdt=None):
     return exponent, z, zdot
 
 
-def _first(bad: np.ndarray) -> int:
-    """Index of the first true entry of a boolean vector, or its length."""
-    return int(np.argmax(bad)) if bad.any() else bad.size
+def _check_grid(exponent, z, zdot, t, rules=()) -> None:
+    """Raise the error of the first failing sample of a closed-form grid.
 
-
-def _first_failure(exponent, z, zdot) -> int:
-    """Index of the first sample that fails the checks of _eval_grid, or m."""
+    A rule is a (p, m) mask of failing entries and error(j, tk), the
+    exception class and message for particle j failing at the sample of
+    time tk.  The closed form's own rules come first, in this order: an
+    exponent outside [-700, 700] or not finite (BlowupError, naming the
+    particle of the largest |Re exponent|), a z' that is not finite
+    (BlowupError), and a z that underflows to the origin (OriginError);
+    rules follows them.  The first sample at which any rule fails reports
+    its time t[k], and the earliest rule that fails there decides.  One
+    pass over the grid finds that sample; the closed form's masks are
+    built only when there is one.
+    """
     # a non-finite exponent, z or dsdt leaves z' non-finite as well
     ok = ((np.abs(exponent.real) <= EXPONENT_LIMIT) & np.isfinite(zdot) & (z != 0.0)).all(axis=0)
-    return _first(~ok)
+    for bad, _ in rules:
+        ok &= ~bad.any(axis=0)
+    if ok.all():
+        return
+    k, re = int(np.argmin(ok)), exponent.real
 
-
-def _raise_failure(k: int, exponent, z, zdot, t) -> None:
-    """Raise the error of failing sample k, reporting the time t[k]."""
-    re = exponent.real
-    tk = t[k].item()
-    if not (np.all(np.abs(re[:, k]) <= EXPONENT_LIMIT) and np.all(np.isfinite(exponent.imag[:, k]))):
-        j = int(np.argmax(np.abs(re[:, k])))  # the first NaN, if any
+    def out_of_range(j, tk):
+        j = int(np.argmax(np.abs(re[:, k])))  # the largest |Re exponent|, or the first NaN
         kind = "escape" if re[j, k] > 0 else "collapse" if re[j, k] < 0 else "overflow"
-        raise BlowupError(
-            f"particle {j + 1} exponent {re[j, k]:.6g} exceeds the "
-            f"representable range at t = {tk} (double-exponential {kind})",
-            time=float(np.real(tk)),
-        )
-    finite = np.isfinite(zdot[:, k])
-    if not np.all(finite):
-        j = int(np.argmin(finite))
+        return BlowupError, (f"particle {j + 1} exponent {re[j, k]:.6g} exceeds the "
+                             f"representable range at t = {tk} (double-exponential {kind})")
+
+    def not_finite(j, tk):
         what = "velocity" if np.isfinite(z[j, k]) else "position"
-        raise BlowupError(
-            f"particle {j + 1} {what} overflows at t = {tk} "
-            f"(exponent {re[j, k]:.6g}, double-exponential overflow)",
-            time=float(np.real(tk)),
-        )
-    j = int(np.argmin(z[:, k] != 0.0))
-    msg = f"particle {j + 1} position underflows to the origin at t = {tk}"
-    raise OriginError(msg, time=float(np.real(tk)))
+        return BlowupError, (f"particle {j + 1} {what} overflows at t = {tk} "
+                             f"(exponent {re[j, k]:.6g}, double-exponential overflow)")
+
+    def at_origin(j, tk):
+        return OriginError, f"particle {j + 1} position underflows to the origin at t = {tk}"
+
+    table = [
+        (~((np.abs(re) <= EXPONENT_LIMIT) & np.isfinite(exponent.imag)), out_of_range),
+        (~np.isfinite(zdot), not_finite),
+        (z == 0.0, at_origin),
+        *rules,
+    ]
+    tk = t[k].item()
+    for bad, error in table:
+        if bad[:, k].any():
+            cls, message = error(int(np.argmax(bad[:, k])), tk)
+            raise cls(message, time=float(np.real(tk)))
 
 
 def _reduced_phase(x: np.ndarray) -> np.ndarray:
@@ -417,32 +424,32 @@ def _pair_states(ps: PairSolution, t) -> Trajectory:
     first, evaluated at s = t - ps.relative.t0; a failure reports its t.
 
     The relative part is one grid of _eval_grid's values and the centre
-    part one (n, m) expression.  Samples are checked in time order, and
-    the error is the one of the first failing sample: the relative part's
-    blow-up (as in _eval_grid), then an overflow of the families
-    (BlowupError), then an exact plus/minus coincidence
-    (PairCollisionError).
+    part one (n, m) expression.  _check_grid checks the relative part by
+    the closed form's rules and then by two of the pair's own: an
+    overflow of the families (BlowupError), then an exact plus/minus
+    coincidence (PairCollisionError).
     """
     t = np.asarray(t, dtype=np.float64)
     s = t - ps.relative.t0
     exponent, rel, reldot = _grid_values(ps.relative, s)
-    bad = _first_failure(exponent, rel, reldot)
     zsum, zdotsum = _center_grid(ps.center, s)
     with np.errstate(over="ignore", invalid="ignore"):
         z = 0.5 * np.concatenate([zsum + rel, zsum - rel])
         zdot = 0.5 * np.concatenate([zdotsum + reldot, zdotsum - reldot])
-    overflow = _first(~(np.isfinite(z) & np.isfinite(zdot)).all(axis=0))
-    n = rel.shape[0]
-    coincide = _first((z[:n] == z[n:]).any(axis=0))
-    if coincide < min(bad, overflow):
-        tk = t[coincide].item()
-        raise PairCollisionError(f"a plus/minus pair coincides exactly at t = {tk}", time=tk)
-    if overflow < bad:
-        tk = t[overflow].item()
-        raise BlowupError(f"a plus/minus state overflows at t = {tk}", time=tk)
-    if bad < t.size:
-        _raise_failure(bad, exponent, rel, reldot, t)
+    _check_grid(exponent, rel, reldot, t, _pair_rules(z, zdot))
     return Trajectory(t, *_state_grid(z, zdot, pair=True))
+
+
+def _pair_rules(z: np.ndarray, zdot: np.ndarray) -> list:
+    """The pair grid's rules after the closed form's (_check_grid), on
+    the (2n, m) states of both families: an overflow, then an exact
+    plus/minus coincidence."""
+    return [
+        (~(np.isfinite(z) & np.isfinite(zdot)),
+         lambda j, tk: (BlowupError, f"a plus/minus state overflows at t = {tk}")),
+        (np.equal(*np.split(z, 2)),
+         lambda j, tk: (PairCollisionError, f"a plus/minus pair coincides exactly at t = {tk}")),
+    ]
 
 
 def eval_pair(p: PairSpec, initial: PairState, t: float) -> PairState:

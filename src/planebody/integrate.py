@@ -274,13 +274,20 @@ class IntegratorConfig:
             raise ValueError("rtol and atol must be positive")
         if not (0.0 < self.h_min < self.h_init):
             raise ValueError("step sizes must satisfy 0 < h_min < h_init")
-        t0, t1 = (float(self.t_span[0]), float(self.t_span[1]))
+        try:
+            t0, t1 = (float(t) for t in self.t_span)
+        except (TypeError, ValueError, OverflowError):  # not a pair of numbers
+            t0 = t1 = math.nan
         if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
             raise ValueError("t_span must be a finite interval with t1 != t0")
         object.__setattr__(self, "t_span", (t0, t1))
-        if int(self.sample_count) < 2 or int(self.sample_count) != self.sample_count:
+        try:
+            count = int(self.sample_count)
+        except (TypeError, ValueError, OverflowError):  # nan, inf or not a number
+            count = 0
+        if count < 2 or count != self.sample_count:
             raise ValueError("sample_count must be an integer >= 2")
-        object.__setattr__(self, "sample_count", int(self.sample_count))
+        object.__setattr__(self, "sample_count", count)
         if self.h_max is not None and not self.h_max > 0.0:
             raise ValueError("h_max must be positive when given")
         for name in ("rtol", "atol", "h_init", "h_min", "h_max"):

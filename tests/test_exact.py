@@ -39,9 +39,9 @@ from planebody.exact import (
     CenterSolution,
     _center_grid,
     _cexp,
-    _first_failure,
+    _check_grid,
+    _pair_rules,
     _phi1_exp,
-    _raise_failure,
     _reduced_phase,
     _time_substitution,
     eval_center,
@@ -781,14 +781,77 @@ def test_exact_states_failure_matches_the_phi1_reference(beta, t_end, m):
         exponent = sol.coefficients @ (t * _reference_phi1(at))
         z = sol.z0[:, None] * _cexp(exponent)
         zdot = (sol.coefficients @ _cexp(at)) * z
-    k = _first_failure(exponent, z, zdot)
-    assert k < m
     with pytest.raises((BlowupError, OriginError)) as want:
-        _raise_failure(k, exponent, z, zdot, t)
+        _check_grid(exponent, z, zdot, t)
     with pytest.raises(type(want.value)) as got:
         exact_states(sol, t)
     assert str(got.value) == str(want.value)
     assert got.value.time == want.value.time
+
+
+def _synthetic_grid(n=3, m=4):
+    """A passing closed-form grid of n particles at the times 0, 1, ..., m - 1."""
+    ones = np.ones((n, m), complex)
+    return np.zeros((n, m), complex), ones, ones.copy(), np.arange(float(m))
+
+
+def test_check_grid_exponent_rule_wins_a_tie_and_names_the_largest_exponent():
+    exponent, z, zdot, t = _synthetic_grid()
+    exponent[1, 2], exponent[2, 2] = 750.0, -800.0
+    zdot[0, 2] = np.inf
+    z[0, 3] = 0.0  # a later sample fails too
+    with pytest.raises(BlowupError) as err:
+        _check_grid(exponent, z, zdot, t)
+    assert str(err.value) == (
+        "particle 3 exponent -800 exceeds the representable range at t = 2.0 (double-exponential collapse)"
+    )
+    assert err.value.time == 2.0
+
+
+def test_check_grid_velocity_rule_wins_a_tie_with_the_origin_rule():
+    exponent, z, zdot, t = _synthetic_grid()
+    z[0, 1] = 0.0
+    zdot[1, 1] = np.nan
+    exponent[0, 2] = 1e3
+    with pytest.raises(BlowupError) as err:
+        _check_grid(exponent, z, zdot, t)
+    assert str(err.value) == (
+        "particle 2 velocity overflows at t = 1.0 (exponent 0, double-exponential overflow)"
+    )
+    assert err.value.time == 1.0
+
+
+def _synthetic_pair(n=2, m=4):
+    """A passing pair grid: relative part and the (2n, m) states of both families."""
+    exponent, rel, reldot, t = _synthetic_grid(n, m)
+    z = np.vstack([np.ones((n, m)), -np.ones((n, m))]).astype(complex)
+    return exponent, rel, reldot, t, z, np.ones((2 * n, m), complex)
+
+
+def test_check_grid_relative_failure_wins_a_tie_with_a_pair_overflow():
+    exponent, rel, reldot, t, z, zdot = _synthetic_pair()
+    rel[1, 2] = 0.0
+    z[3, 2] = np.inf
+    with pytest.raises(OriginError) as err:
+        _check_grid(exponent, rel, reldot, t, _pair_rules(z, zdot))
+    assert str(err.value) == "particle 2 position underflows to the origin at t = 2.0"
+    assert err.value.time == 2.0
+
+
+def test_check_grid_pair_overflow_wins_a_tie_with_a_coincidence():
+    from planebody.errors import PairCollisionError
+
+    exponent, rel, reldot, t, z, zdot = _synthetic_pair()
+    z[0, 1] = z[2, 1]
+    zdot[3, 1] = np.inf
+    exponent[0, 2] = 1e3
+    with pytest.raises(BlowupError) as err:
+        _check_grid(exponent, rel, reldot, t, _pair_rules(z, zdot))
+    assert str(err.value) == "a plus/minus state overflows at t = 1.0"
+    assert err.value.time == 1.0
+    zdot[3, 1] = 1.0  # the coincidence alone still precedes the exponent at t = 2
+    with pytest.raises(PairCollisionError, match=r"coincides exactly at t = 1\.0$"):
+        _check_grid(exponent, rel, reldot, t, _pair_rules(z, zdot))
 
 
 @pytest.mark.parametrize("lam, omega", [(0.3, 1.0), (-0.2, 0.0), (1e-6, 2.0), (2.0, -1.5), (25.0, 1.0)])

@@ -58,6 +58,16 @@ def test_config_validation():
     assert IntegratorConfig(h_max=0.125).effective_h_max() == 0.125
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("t_span", (0.0, 1.0, 2.0)), ("t_span", (1.0,)), ("t_span", 1.0), ("t_span", ("a", "b")),
+     ("sample_count", math.inf), ("sample_count", math.nan), ("sample_count", None)],
+)
+def test_config_rejects_a_malformed_span_or_count_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        IntegratorConfig(**{field: value})
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(times=[0.0, 1.0, 0.5], positions=np.zeros((3, 1, 2)),

@@ -8,11 +8,12 @@ integrator method set to ``"dopri5"``, through ``compare`` (``NAME
 dopri5 compare:``, three files): the seeded scenarios step with DOPRI5
 at rtol 1e-6 and 1e-8 only, the demos with DOP853 at 1e-9.  Prints one
 line per run: the exit code, the ``ERROR`` code and the time the error
-reports, and the sha256 of every output file (first 16 hex digits).
+reports, the sha256 of the whole ``ERROR`` line (``msg=``, first 12 hex
+digits), and the sha256 of every output file (first 16 hex digits).
 Two trees give the same listing exactly when every run ends the same
-way and writes the same bytes, so the scan of a change is diffed
-against the scan of its parent, and two scans of one tree show that
-its data files are deterministic:
+way, with the same message, and writes the same bytes, so the scan of
+a change is diffed against the scan of its parent, and two scans of
+one tree show that its data files are deterministic:
 
     PYTHONPATH=<parent>/src python tools/scan.py > parent.txt
     PYTHONPATH=src python tools/scan.py > head.txt
@@ -210,7 +211,7 @@ def run(command: str, data: dict) -> Run:
             outcome = lines[0][len("ERROR "):].partition(":")[0]
             found = _TIME.search(lines[0])
             time = found.group(1) if found else "-"
-            fields.append(f"{outcome}@{time}")
+            fields.append(f"{outcome}@{time} msg={hashlib.sha256(lines[0].encode()).hexdigest()[:12]}")
         if len(lines) > 1 or caught:
             fields.append(f"stderr_lines={len(lines)} warnings={len(caught)}")
         if os.path.isdir(out_dir):
